@@ -3,7 +3,7 @@
 
 .PHONY: install test test-parallel test-serve test-shard test-batch bench \
 	bench-show bench-analysis bench-io bench-serve bench-scale \
-	bench-batch bench-incremental bench-diff serve profile trace \
+	bench-incremental bench-diff serve profile trace \
 	examples report all
 
 install:
@@ -33,11 +33,12 @@ test-shard:
 	pytest tests/test_shard_world.py tests/test_shard_world_properties.py \
 		tests/test_shard_world_scale.py
 
-# The fused trial-batch kernels: RNG lattice property tests plus the
-# cell-by-cell and end-to-end byte-identity differentials against the
-# per-cell planned path.
+# The observation kernel: RNG lattice and plan-index property tests plus
+# the cell-by-cell and end-to-end byte-identity differentials against
+# the reference oracle (tests/observe_oracle.py).
 test-batch:
-	pytest tests/test_batch_equivalence.py tests/test_plan_properties.py
+	pytest tests/test_batch_equivalence.py tests/test_plan_equivalence.py \
+		tests/test_plan_properties.py
 
 bench:
 	pytest benchmarks/ --benchmark-only
@@ -74,14 +75,6 @@ bench-serve:
 bench-scale:
 	pytest benchmarks/test_perf_shard.py -s
 
-# Bracket the fused trial-batch kernels against the per-cell grid:
-# monolithic and sharded (plane-only) phases with coverage
-# cross-checks; records hosts/second per phase into the BENCH_<n>.json
-# trajectory and asserts the batched-streaming speedup floor on
-# multi-CPU machines.
-bench-batch:
-	pytest benchmarks/test_perf_batch.py -s
-
 # Bracket an add-one-origin request against the whole-campaign cold
 # miss it used to be: seed the plane cache with a 7-origin run, then
 # serve the 8-origin grid cold (cache off) and warm (only the added
@@ -101,10 +94,10 @@ bench-diff:
 serve:
 	python -m repro serve $(SERVE_ARGS)
 
-# cProfile the paper-scale observe() hot path (warm compiled plan) and
-# print the per-stage ObserveProfile breakdown.  Pass --unplanned via
-# PROFILE_ARGS to profile the reference path instead:
-#   make profile PROFILE_ARGS=--unplanned
+# cProfile the paper-scale observation kernel (warm caches) over one
+# trial batch and print the per-stage ObserveProfile breakdown.  Pass
+# options via PROFILE_ARGS, e.g. one trial of SSH:
+#   make profile PROFILE_ARGS="--protocol ssh --trials 1"
 profile:
 	python -m repro profile --scale 1.0 $(PROFILE_ARGS)
 

@@ -1,7 +1,7 @@
 """Plane-granular incremental recomputation vs a whole-campaign miss.
 
 Three isolated phases, each in a fresh subprocess (same discipline as
-``test_perf_batch.py`` — peak RSS and caches stay per-phase), sharing
+``test_perf_shard.py`` — peak RSS and caches stay per-phase), sharing
 one plane-cache directory:
 
 * **seed** — warm the plane cache with a 7-origin campaign observed
@@ -50,17 +50,17 @@ ADDED_ORIGIN = "CEN"
 
 _PHASE_TEMPLATE = """
 import hashlib, json, resource, sys, time
-from repro.sim.campaign import run_plane_campaign
 from repro.sim.scenario import paper_scenario
+from repro.sim.shard import run_sharded_campaign
 
 world, origins, config = paper_scenario(seed={seed}, scale=1.0)
 universe = [o.name for o in origins]
 selected = tuple(o for o in origins if o.name not in {dropped!r})
 start = time.perf_counter()
-result = run_plane_campaign(world, selected, config, n_trials=3,
-                            executor={executor!r}, workers={workers},
-                            origin_universe=universe,
-                            plane_cache={plane_cache})
+result = run_sharded_campaign(world, selected, config, n_trials=3,
+                              executor={executor!r}, workers={workers},
+                              origin_universe=universe,
+                              plane_cache={plane_cache})
 wall = time.perf_counter() - start
 grid = json.dumps(result.report(), sort_keys=True, default=str)
 out = {{"wall_s": wall,

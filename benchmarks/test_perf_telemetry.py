@@ -3,10 +3,11 @@
 The telemetry subsystem promises a near-free disabled path: with no
 active collector, ``current()`` returns a shared no-op singleton and the
 instrumented call sites reduce to one attribute check.  This module pins
-that promise on the warm planned observation (the PR-2 acceptance path):
+that promise on a warm ``World.observe`` (a one-trial call of the
+observation kernel):
 
 * **disabled** telemetry must stay within :data:`OVERHEAD_CEILING` of
-  the planned-path baseline.  Both quantities are measured in the same
+  the observe baseline.  Both quantities are measured in the same
   session (the instrumentation is compiled in either way, so two
   interleaved disabled measurements bracket exactly the no-op cost);
 * **enabled** telemetry (full spans + counters, no journal I/O) gets a
@@ -31,7 +32,7 @@ import time
 from repro.scanner.zmap import ZMapScanner
 from repro.telemetry import Telemetry, disabled
 
-#: Maximum tolerated cost of *disabled* telemetry on a warm planned
+#: Maximum tolerated cost of *disabled* telemetry on a warm
 #: paper-scale observation (the acceptance criterion): ≤5 %.
 OVERHEAD_CEILING = 0.05
 
@@ -101,13 +102,13 @@ def test_perf_telemetry_overhead_guard(paper_world):
             f"the no-op fast path is not flat")
         assert enabled_overhead <= ENABLED_CEILING, (
             f"enabled telemetry costs {enabled_overhead:.1%} on the warm "
-            f"planned observation (ceiling: {ENABLED_CEILING:.0%})")
+            f"observation (ceiling: {ENABLED_CEILING:.0%})")
     else:  # pragma: no cover - starved runner
         assert enabled_ms > 0.0
 
 
 def test_perf_observe_telemetry_enabled(benchmark, paper_world):
-    """Benchmark record: the planned observation under a live collector
+    """Benchmark record: the warm observation under a live collector
     (no journal I/O), for the BENCH trajectory."""
     world, origins, config = paper_world
     scanner = ZMapScanner(config)

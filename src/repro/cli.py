@@ -79,10 +79,6 @@ def _build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--workers", type=int, default=None,
                           help="pool size for thread/process backends "
                                "(default: REPRO_WORKERS env or CPU count)")
-    simulate.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                          default=None,
-                          help="fused trial-batched observation kernels "
-                               "(default on; REPRO_BATCH=0 also disables)")
     simulate.add_argument("--telemetry", default=None, metavar="PATH",
                           help="write an NDJSON telemetry journal (spans, "
                                "counters, run manifest) to this file; "
@@ -176,11 +172,6 @@ def _build_parser() -> argparse.ArgumentParser:
     serve.add_argument("--workers", type=int, default=None,
                        help="campaign pool width for thread/process "
                             "backends")
-    serve.add_argument("--batch", action=argparse.BooleanOptionalAction,
-                       default=None,
-                       help="fused trial-batched kernels on the compute "
-                            "path (default on; REPRO_BATCH=0 also "
-                            "disables)")
     serve.add_argument("--plane-cache",
                        action=argparse.BooleanOptionalAction,
                        default=None,
@@ -232,7 +223,7 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="also write the JSON verdict to this file")
 
     profile = commands.add_parser(
-        "profile", help="profile the observe() hot path (warm plan)")
+        "profile", help="profile the observation kernel (warm caches)")
     profile.add_argument("--seed", type=int, default=1)
     profile.add_argument("--scale", type=float, default=1.0,
                          help="world size multiplier (1.0 ≈ 58k HTTP "
@@ -240,15 +231,9 @@ def _build_parser() -> argparse.ArgumentParser:
     profile.add_argument("--protocol", default="http",
                          choices=list(PROTOCOLS))
     profile.add_argument("--rounds", type=int, default=10,
-                         help="observations to run under the profiler")
-    profile.add_argument("--unplanned", action="store_true",
-                         help="profile the unplanned reference path "
-                              "instead of the compiled plan")
-    profile.add_argument("--batched", action="store_true",
-                         help="profile the fused trial-batch kernel "
-                              "(per-stage breakdown over --trials trials)")
+                         help="trial batches to run under the profiler")
     profile.add_argument("--trials", type=int, default=3,
-                         help="trials per batch in --batched mode")
+                         help="trials per batch")
     return parser
 
 
@@ -262,7 +247,6 @@ def _cmd_simulate(args: argparse.Namespace) -> int:
                            protocols=tuple(args.protocols),
                            n_trials=args.trials,
                            executor=args.executor, workers=args.workers,
-                           batch=args.batch,
                            telemetry=args.telemetry)
     execution = dataset.metadata["execution"]
     print(f"executed {execution['n_jobs']} observation jobs via "
@@ -478,7 +462,6 @@ def _cmd_serve(args: argparse.Namespace) -> int:
                          request_timeout=args.timeout,
                          pool_size=args.pool_size,
                          executor=args.executor, workers=args.workers,
-                         batch=args.batch,
                          plane_cache=args.plane_cache,
                          cache_dir=args.cache_dir,
                          journal=args.journal,
@@ -610,71 +593,44 @@ def _cmd_profile(args: argparse.Namespace) -> int:
     import cProfile
     import pstats
     import time
+    from dataclasses import replace
 
     from repro.scanner.zmap import ZMapScanner
+    from repro.sim.batch import observe_trial_batch
     from repro.sim.plan import ObserveProfile
 
     world, origins, config = paper_scenario(seed=args.seed,
                                             scale=args.scale)
-    scanner = ZMapScanner(config)
     names = tuple(o.name for o in origins)
     origin = origins[0]
     n = len(world.hosts.for_protocol(args.protocol).ip)
-
-    if args.batched:
-        from dataclasses import replace
-
-        from repro.sim.batch import observe_trial_batch
-
-        trials = tuple(range(args.trials))
-        scanners = tuple(ZMapScanner(replace(config, seed=config.seed + t))
-                         for t in trials)
-        print(f"profiling batched kernel: {args.protocol}, {n} services "
-              f"× {len(trials)} trials, {args.rounds} rounds from "
-              f"{origin.name}", file=sys.stderr)
-        observe_trial_batch(world, args.protocol, origin, trials,
-                            scanners, names)  # warm caches
-        stage_profile = ObserveProfile()
-        profiler = cProfile.Profile()
-        start = time.perf_counter()
-        profiler.enable()
-        for _ in range(args.rounds):
-            observe_trial_batch(world, args.protocol, origin, trials,
-                                scanners, names, profile=stage_profile)
-        profiler.disable()
-        wall = time.perf_counter() - start
-        pstats.Stats(profiler, stream=sys.stdout) \
-            .sort_stats("cumulative").print_stats(20)
-        print(stage_profile.render())
-        print(f"{wall / args.rounds * 1000.0:.2f} ms per batch of "
-              f"{len(trials)} trials "
-              f"({args.rounds} rounds, profiler overhead included)")
-        return 0
-
-    plan_arg = False if args.unplanned else None
-    mode = "unplanned (reference)" if args.unplanned else "planned"
-    print(f"profiling {mode} observe(): {args.protocol}, {n} services, "
-          f"{args.rounds} rounds from {origin.name}", file=sys.stderr)
+    trials = tuple(range(args.trials))
+    scanners = tuple(ZMapScanner(replace(config, seed=config.seed + t))
+                     for t in trials)
+    print(f"profiling the observation kernel: {args.protocol}, {n} "
+          f"services × {len(trials)} trials, {args.rounds} rounds from "
+          f"{origin.name}", file=sys.stderr)
 
     # Warm every cross-call cache (plan compilation, per-AS parameter
     # tables, loss-model state) so the profile shows the steady state.
-    world.observe(args.protocol, 0, origin, scanner, names, plan=plan_arg)
+    observe_trial_batch(world, args.protocol, origin, trials, scanners,
+                        names)
 
     stage_profile = ObserveProfile()
     profiler = cProfile.Profile()
     start = time.perf_counter()
     profiler.enable()
     for _ in range(args.rounds):
-        world.observe(args.protocol, 0, origin, scanner, names,
-                      plan=plan_arg, profile=stage_profile)
+        observe_trial_batch(world, args.protocol, origin, trials,
+                            scanners, names, profile=stage_profile)
     profiler.disable()
     wall = time.perf_counter() - start
 
     pstats.Stats(profiler, stream=sys.stdout) \
         .sort_stats("cumulative").print_stats(20)
-    if not args.unplanned:
-        print(stage_profile.render())
-    print(f"{wall / args.rounds * 1000.0:.2f} ms per observation "
+    print(stage_profile.render())
+    print(f"{wall / args.rounds * 1000.0:.2f} ms per batch of "
+          f"{len(trials)} trials "
           f"({args.rounds} rounds, profiler overhead included)")
     return 0
 

@@ -45,7 +45,7 @@ from repro.telemetry.context import current as _telemetry
 
 #: The two analysis engines.  ``packed`` is the default production path;
 #: ``reference`` keeps the original per-set Python implementations alive
-#: as the differential baseline (the planned/unplanned pattern of PR 2).
+#: as the differential baseline.
 ENGINES = ("packed", "reference")
 
 #: Environment variable overriding the default engine.

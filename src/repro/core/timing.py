@@ -68,8 +68,10 @@ def diurnal_profile(dataset: CampaignDataset, protocol: str,
                 continue
             row = table.origin_row(origin)
             times_h = table.time[row][truth] / 3600.0
-            local_hour = ((times_h + offsets.get(origin, 0.0)) % 24
-                          ).astype(np.int64)
+            # Floor to whole hours, then wrap on integers: a float ``% 24``
+            # rounds a tiny negative local time up to 24.0 — a 25th bin.
+            local_hour = np.floor(times_h + offsets.get(origin, 0.0)
+                                  ).astype(np.int64) % 24
             missed = ~table.accessible(origin)[truth]
             samples[oi] += np.bincount(local_hour, minlength=24)
             misses[oi] += np.bincount(local_hour[missed], minlength=24)

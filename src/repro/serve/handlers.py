@@ -24,8 +24,7 @@ from repro.core.engine import ENGINES
 from repro.core.report import full_report
 from repro.origins import followup_origins, paper_origins
 from repro.serve import resultcache
-from repro.sim.campaign import (campaign_fingerprint, run_campaign,
-                                run_plane_campaign)
+from repro.sim.campaign import campaign_fingerprint, run_campaign
 from repro.sim.executor import BACKENDS
 from repro.sim.scenario import (followup_scenario, paper_scenario,
                                 paper_sharded_scenario)
@@ -87,9 +86,10 @@ class CampaignRequest:
     protocols: Tuple[str, ...] = PROTOCOLS
     n_trials: int = 3
     engine: Optional[str] = None
-    #: ``> 1`` serves the campaign through the sharded streaming path
-    #: (``paper_sharded_scenario`` + ``run_sharded_campaign``) — same
-    #: bytes, bounded memory, one ``shard.stream`` span per shard.
+    #: ``> 1`` builds the world as a sharded world
+    #: (``paper_sharded_scenario``) that the campaign driver streams one
+    #: shard at a time — same bytes, bounded memory, one
+    #: ``shard.stream`` span per shard.
     shards: int = 1
     #: ``None`` scans with every scenario origin; otherwise a subset of
     #: :data:`SCENARIO_ORIGINS` (normalized to scenario order).  Either
@@ -226,17 +226,11 @@ class ServeState:
     cache_dir: Optional[str] = None
     executor: Optional[str] = None
     workers: Optional[int] = None
-    #: Trial-batched observation kernels on the miss path.  ``None``
-    #: defers to :func:`repro.sim.batch.batch_enabled` (on by default,
-    #: ``REPRO_BATCH=0`` opts out).  Deliberately *not* part of the
-    #: request spec: batching is an execution detail, so cache keys —
-    #: and the served bytes — are identical either way.
-    batch: Optional[bool] = None
     #: Plane-granular incremental recomputation on the ``grid``-surface
     #: miss path.  ``None`` defers to ``REPRO_PLANE_CACHE`` (on by
     #: default); ``False`` forces the non-incremental reference path.
-    #: Like ``batch``, deliberately *not* part of the request spec —
-    #: served bytes are identical either way.
+    #: Deliberately *not* part of the request spec: served bytes are
+    #: identical either way.
     plane_cache: Optional[bool] = None
     world_lru: int = 4
     _worlds: "OrderedDict[str, tuple]" = field(default_factory=OrderedDict)
@@ -334,52 +328,24 @@ def run_request(request: CampaignRequest, state: ServeState) -> ResultPayload:
     with tel.span("serve.compute", key=key[:12],
                   scenario=request.scenario, seed=request.seed,
                   shards=request.shards, surface=request.report):
+        run = dict(protocols=request.protocols, n_trials=request.n_trials,
+                   executor=state.executor, workers=state.workers,
+                   origin_universe=universe)
         plane_stats = None
+        dataset = None
         if request.report == "grid":
             # Streaming grid surface: plane-granular and incremental —
             # the run probes the plane cache per (protocol, origin,
             # shard, trial) unit and dispatches only the misses.
-            plane_extra = {"engine": request.engine or ""}
-            dataset = None
-            if request.shards > 1:
-                result = run_sharded_campaign(
-                    world, selected, config,
-                    protocols=request.protocols,
-                    n_trials=request.n_trials,
-                    executor=state.executor, workers=state.workers,
-                    batch=state.batch, origin_universe=universe,
-                    plane_cache=state.plane_cache,
-                    plane_extra=plane_extra, plane_dir=state.cache_dir)
-            else:
-                result = run_plane_campaign(
-                    world, selected, config,
-                    protocols=request.protocols,
-                    n_trials=request.n_trials,
-                    executor=state.executor, workers=state.workers,
-                    batch=state.batch, origin_universe=universe,
-                    plane_cache=state.plane_cache,
-                    plane_extra=plane_extra, plane_dir=state.cache_dir)
+            result = run_sharded_campaign(
+                world, selected, config, plane_cache=state.plane_cache,
+                plane_extra={"engine": request.engine or ""},
+                plane_dir=state.cache_dir, **run)
             plane_stats = result.metadata.get("plane_cache")
             report = json.dumps(result.report(), sort_keys=True,
                                 indent=2, default=str) + "\n"
-        elif request.shards > 1:
-            _, dataset = run_sharded_campaign(world, selected, config,
-                                              protocols=request.protocols,
-                                              n_trials=request.n_trials,
-                                              executor=state.executor,
-                                              workers=state.workers,
-                                              batch=state.batch,
-                                              origin_universe=universe,
-                                              collect=True)
-            report = full_report(dataset, engine=request.engine)
         else:
-            dataset = run_campaign(world, selected, config,
-                                   protocols=request.protocols,
-                                   n_trials=request.n_trials,
-                                   executor=state.executor,
-                                   workers=state.workers,
-                                   batch=state.batch,
-                                   origin_universe=universe)
+            dataset = run_campaign(world, selected, config, **run)
             report = full_report(dataset, engine=request.engine)
     meta = {
         "request": request.to_json(),

@@ -90,7 +90,6 @@ class ServeConfig:
     pool_size: int = 2             # compute threads (campaigns at once)
     executor: Optional[str] = None  # campaign backend (serial/thread/...)
     workers: Optional[int] = None  # campaign pool width
-    batch: Optional[bool] = None   # trial-batched kernels (None → env/default)
     #: Plane-granular incremental recomputation on the grid-surface miss
     #: path (None → ``REPRO_PLANE_CACHE``; ``--no-plane-cache`` → False).
     plane_cache: Optional[bool] = None
@@ -170,7 +169,6 @@ class ReproServer:
             cache_dir=self.config.cache_dir,
             executor=self.config.executor,
             workers=self.config.workers,
-            batch=self.config.batch,
             plane_cache=self.config.plane_cache,
             world_lru=self.config.world_lru)
         self.runner = runner

@@ -2,15 +2,15 @@
 
 from repro.sim.world import World, WorldDefaults, Observation
 from repro.sim.plan import ASGrouping, ObservationPlan, ObserveProfile
-from repro.sim.campaign import Campaign, build_observation_grid, run_campaign
+from repro.sim.campaign import Campaign, build_trial_batches, run_campaign
 from repro.sim.executor import (
     BACKENDS,
     ExecutionReport,
     Executor,
-    ObservationJob,
     ProcessExecutor,
     SerialExecutor,
     ThreadExecutor,
+    TrialBatchJob,
     make_executor,
 )
 from repro.sim.scenario import (
@@ -28,11 +28,11 @@ __all__ = [
     "ASGrouping",
     "Campaign",
     "run_campaign",
-    "build_observation_grid",
+    "build_trial_batches",
     "BACKENDS",
     "Executor",
     "ExecutionReport",
-    "ObservationJob",
+    "TrialBatchJob",
     "SerialExecutor",
     "ThreadExecutor",
     "ProcessExecutor",

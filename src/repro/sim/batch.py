@@ -1,12 +1,11 @@
-"""Fused trial-batched observation kernels.
+"""The observation kernel: fused trial-batched evaluation.
 
-The campaign grid is (protocol × trial × origin), and the per-cell path
-(:meth:`repro.sim.world.World.observe`) evaluates one cell per call.
-Because every stochastic draw in the simulator is a pure function of
-``(seed, stream key, counters)``, a whole *trial axis* can be drawn as a
-2-D lattice with bit-identical results: per-trial stream keys are
-pre-derived (:func:`repro.rng.stream_keys`) and broadcast against the
-shared per-host counter addresses (:func:`repro.rng.keyed_uniform_lattice`).
+The campaign grid is (protocol × trial × origin).  Because every
+stochastic draw in the simulator is a pure function of ``(seed, stream
+key, counters)``, a whole *trial axis* can be drawn as a 2-D lattice with
+bit-identical results: per-trial stream keys are pre-derived
+(:func:`repro.rng.stream_keys`) and broadcast against the shared
+per-host counter addresses (:func:`repro.rng.keyed_uniform_lattice`).
 :func:`observe_trial_batch` exploits this to evaluate **all trials of one
 (protocol, origin)** in a single vectorized pass:
 
@@ -18,16 +17,19 @@ shared per-host counter addresses (:func:`repro.rng.keyed_uniform_lattice`).
   (:meth:`~repro.conditions.loss.PathLossModel.delivered_lattice`),
 * the L7 ladder assembled per trial from the pre-drawn lattices.
 
-Every matrix row sliced by a trial's ``keep`` subset reproduces exactly
-the arrays the per-cell planned path computes, so batched observations
-are **byte-identical** to per-cell ones (differential suite:
-``tests/test_batch_equivalence.py``).  The per-cell path is retained as
-the reference.
+This is the simulator's only observation kernel:
+:meth:`~repro.sim.world.World.observe` is a one-trial call of it, and
+every campaign driver dispatches it through
+:class:`~repro.sim.executor.TrialBatchJob`.  Output element *i* equals a
+direct per-cell evaluation of ``trials[i]`` byte for byte (differential
+suites: ``tests/test_batch_equivalence.py`` and
+``tests/test_plan_equivalence.py``, against the reference path in
+``tests/observe_oracle.py``).
 
 In **plane-only mode** the kernel skips ``Observation`` row
 materialization and returns :class:`PlaneSlice` objects — just the
 columns the streaming reducers (:mod:`repro.core.streaming`) consume —
-which the sharded campaign feeds straight into packed bit planes.
+which streaming campaigns feed straight into packed bit planes.
 
 Memory model: the trial lattice holds a handful of
 ``(n_trials, n_hosts)`` matrices at once (presence and failure lattices
@@ -41,7 +43,6 @@ hosts per protocol) well under 60 MB, and per-shard views bound
 from __future__ import annotations
 
 import dataclasses
-import os
 from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple, Union
 
@@ -56,37 +57,6 @@ from repro.sim.plan import ObserveProfile, _StageTimer, \
     sorted_membership_mask
 from repro.sim.world import Observation, World
 from repro.telemetry.context import current as _telemetry
-
-#: Environment opt-out for the batched path (``REPRO_BATCH=0``).
-ENV_BATCH = "REPRO_BATCH"
-
-#: Stage names of the batched kernel in reporting order.  The first six
-#: mirror the per-cell stages (the batched stage covers every trial of
-#: the batch at once); ``emit`` is the final row/plane materialization.
-BATCH_STAGES = ("filter", "schedule", "l4_static", "l4_ids", "path",
-                "l7", "emit")
-
-_FALSEY = ("0", "false", "no", "off")
-
-
-def batch_enabled(batch: Optional[bool] = None,
-                  planned: bool = True) -> bool:
-    """Resolve the batched-path switch.
-
-    Explicit argument beats the ``REPRO_BATCH`` environment variable
-    (``0``/``false``/``no``/``off`` opt out) beats the default (on).
-    The unplanned reference path is never batched — it anchors the
-    differential suites for both the plan and the batch kernels — so
-    ``planned=False`` always resolves to the per-cell path.
-    """
-    if not planned:
-        return False
-    if batch is not None:
-        return bool(batch)
-    env = os.environ.get(ENV_BATCH)
-    if env is None:
-        return True
-    return env.strip().lower() not in _FALSEY
 
 
 @dataclass
@@ -127,16 +97,16 @@ def observe_trial_batch(world: World, protocol: str, origin: Origin,
 
     ``scanners`` carries one trial-reseeded scanner per entry of
     ``trials`` (the campaign convention: ``seed + trial``); the configs
-    must differ only in their seed.  Output element *i* is byte-identical
-    to ``world.observe(protocol, trials[i], origin, scanners[i], ...)``
-    — as an :class:`~repro.sim.world.Observation`, or as a
+    must differ only in their seed.  Output element *i* is what
+    ``origin`` records in ``trials[i]`` scanning with ``scanners[i]`` —
+    as an :class:`~repro.sim.world.Observation`, or as a
     :class:`PlaneSlice` when ``plane_only`` is set.
 
     With telemetry enabled the call emits one ``batch.stream`` span with
     ``observe.batched.<stage>`` child events plus ``observe.batched.*``
-    counters; the per-host blocking/loss counters
-    (``observe.hosts_blocked``, ``observe.probes_lost``, …) keep their
-    per-cell names and totals.
+    counters; the observation-level counters (``observe.calls``,
+    ``observe.services``, ``observe.hosts_blocked``, …) count per grid
+    cell.
     """
     tel = _telemetry()
     if tel.enabled:
@@ -193,7 +163,7 @@ def _observe_trial_batch(world: World, protocol: str, origin: Origin,
                 "trial-reseeding convention)")
     counting = tel.enabled
 
-    timer = _StageTimer(profile, tel=tel, prefix="observe.batched.")
+    timer = _StageTimer(profile, tel=tel)
     view = world.hosts.for_protocol(protocol)
     caches = world.host_caches(protocol)
     plans = [world.plan(protocol, s) for s in scanners]
@@ -293,10 +263,10 @@ def _observe_trial_batch(world: World, protocol: str, origin: Origin,
     rate_matrix = loss.trial_epoch_rate_matrix(
         epoch, variability, np.arange(caches.n_ases, dtype=np.int64),
         trials)
-    persist_full = plans[0].persist_u.get(origin.name)
+    persist_full = caches.persist_u.get(origin.name)
     if persist_full is None:
         persist_full = loss.persistent_draws(host_ids_full)
-        plans[0].persist_u[origin.name] = persist_full
+        caches.persist_u[origin.name] = persist_full
     effective_full = rate_matrix[:, as_full]
     random_full = random_[as_full]
     persistent_full = persistent[as_full]
@@ -307,9 +277,9 @@ def _observe_trial_batch(world: World, protocol: str, origin: Origin,
         # Rows cut by the filter never contribute draws, but their times
         # would still enter the epoch-memo key — and a single cut row
         # crossing an epoch boundary between probes would defeat the
-        # memo the per-cell path gets on its kept subset.  Pin cut rows
-        # to t=0 so the memo keys (and hits) depend on kept rows only;
-        # kept rows' epoch addresses are untouched, so draws stay
+        # memo a direct evaluation gets on its kept subset.  Pin cut
+        # rows to t=0 so the memo keys (and hits) depend on kept rows
+        # only; kept rows' epoch addresses are untouched, so draws stay
         # byte-identical.
         times = np.where(kept_lattice, first_full + probe_offsets[k], 0.0)
         delivered.append(loss.delivered_lattice(
@@ -459,9 +429,9 @@ def _observe_trial_batch(world: World, protocol: str, origin: Origin,
                 time=first_times[ti].astype(np.float32)))
         if counting:
             n = len(keep)
-            # One logical observe per grid cell, whichever kernel ran:
-            # the observation-level counters describe the byte-identical
-            # output, so their totals must match the per-cell path.
+            # One logical observe per grid cell: the observation-level
+            # counters describe the output, so their totals are the same
+            # however the trials were batched.
             tel.count("observe.calls", 1,
                       protocol=protocol, origin=origin.name)
             tel.count("observe.services", n,

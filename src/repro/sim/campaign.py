@@ -2,16 +2,27 @@
 
 A campaign is the paper's experimental unit: N trials × M protocols, all
 origins scanning the same addresses at approximately the same time with a
-shared ZMap seed.  The runner turns a :class:`~repro.sim.world.World` and a
-set of origins into a :class:`~repro.core.dataset.CampaignDataset` ready
-for the analysis pipeline.
+shared ZMap seed.  One driver runs every campaign.  It streams a world
+shard by shard — a plain :class:`~repro.sim.world.World` is its own
+single shard, a :class:`~repro.sim.shard.ShardedWorld` loads one shard at
+a time — and dispatches one :class:`~repro.sim.executor.TrialBatchJob`
+per (protocol, origin) through a pluggable executor backend
+(:mod:`repro.sim.executor`).  Each shard's outputs are then folded one of
+two ways:
 
-Execution is delegated to a pluggable backend (:mod:`repro.sim.executor`):
-the (protocol, trial, origin) observation grid is flattened into
-independent jobs, fanned out serially or across threads/processes, and
-reassembled in deterministic grid order.  Every job carries its own
-trial-reseeded config and the origin's ``first_trial``, so the output is
-bit-identical regardless of backend or scheduling.
+* **collect mode** (:func:`run_campaign`) stacks the observations into
+  :class:`~repro.core.dataset.TrialData` tables, giving the
+  :class:`~repro.core.dataset.CampaignDataset` the analysis pipeline
+  reads;
+* **plane-only mode** (:func:`repro.sim.shard.run_sharded_campaign`)
+  first probes the plane cache (:mod:`repro.serve.planecache`), so only
+  missing (protocol, origin, shard, trial) units are dispatched, and
+  reduces the planes into :class:`~repro.core.streaming.StreamingTrial`
+  accumulators.
+
+Every job carries its trial-reseeded configs and the origin's
+``first_trial``, and outputs are reassembled in job-index order, so the
+result is bit-identical regardless of backend, scheduling or sharding.
 """
 
 from __future__ import annotations
@@ -29,16 +40,21 @@ from typing import Dict, List, Mapping, Optional, Sequence, Tuple, Union
 import numpy as np
 
 from repro.core.dataset import CampaignDataset, TrialData
+from repro.core.streaming import StreamingCampaignResult, StreamingTrial
 from repro.origins import Origin
 from repro.scanner.zmap import ZMapConfig
-from repro.sim.batch import batch_enabled
-from repro.sim.executor import Executor, ObservationJob, ProgressCallback, \
+from repro.sim.executor import Executor, ExecutionReport, ProgressCallback, \
     TrialBatchJob, make_executor
 from repro.sim.world import Observation, World
 from repro.telemetry.context import Telemetry, current as _telemetry, use
 from repro.telemetry.manifest import build_manifest
 from repro.telemetry.tracing import new_trace_id
 from repro.topology.asn import PROTOCOLS
+
+#: A run's telemetry: a journal path (a collector is opened and closed
+#: around the run), a caller-owned collector, or ``None`` for whatever
+#: context is ambient (usually none — zero overhead).
+TelemetryArg = Union[str, os.PathLike, Telemetry, None]
 
 
 @dataclass
@@ -58,19 +74,8 @@ class Campaign:
     n_trials: int = 3
     executor: Union[str, Executor, None] = None
     workers: Optional[int] = None
-    #: Observe through compiled plans (:meth:`repro.sim.world.World.plan`).
-    #: ``False`` forces the unplanned reference path — byte-identical
-    #: output, used by the differential test suite.
-    planned: bool = True
-    #: Fused trial batching: ``None`` resolves via ``REPRO_BATCH`` (on by
-    #: default), ``True``/``False`` force it.  Byte-identical output
-    #: either way (see :mod:`repro.sim.batch`).
-    batch: Optional[bool] = None
-    #: Telemetry for the run: a journal path (a fresh collector is opened
-    #: and closed around the run), an existing
-    #: :class:`~repro.telemetry.context.Telemetry`, or ``None`` to use
-    #: whatever context is ambient (usually none — zero overhead).
-    telemetry: Union[str, os.PathLike, Telemetry, None] = None
+    #: Telemetry for the run (see :data:`TelemetryArg`).
+    telemetry: TelemetryArg = None
 
     def __post_init__(self) -> None:
         if self.n_trials < 1:
@@ -83,7 +88,6 @@ class Campaign:
         return run_campaign(self.world, self.origins, self.zmap,
                             self.protocols, self.n_trials,
                             executor=self.executor, workers=self.workers,
-                            planned=self.planned, batch=self.batch,
                             telemetry=self.telemetry)
 
 
@@ -109,55 +113,20 @@ def _universe_names(origins: Sequence[Origin],
     return universe
 
 
-def build_observation_grid(origins: Sequence[Origin], zmap: ZMapConfig,
-                           protocols: Sequence[str],
-                           n_trials: int,
-                           planned: bool = True,
-                           origin_universe: Optional[Sequence[str]] = None
-                           ) -> List[ObservationJob]:
-    """Flatten the campaign into independent, self-contained jobs.
-
-    Each job carries the trial-reseeded config (``seed + trial``) and the
-    origin's precomputed ``first_trial`` — computed once here, not per
-    worker, because a worker cannot recover it without the full origin
-    participation schedule.
-    """
-    origin_names = _universe_names(origins, origin_universe)
-    first_trials = {o.name: _first_trial(o, n_trials) for o in origins}
-
-    jobs: List[ObservationJob] = []
-    for protocol in protocols:
-        for trial in range(n_trials):
-            config = dataclasses.replace(zmap, seed=zmap.seed + trial)
-            participating = [o for o in origins if o.participates(trial)]
-            if not participating:
-                raise ValueError(
-                    f"no origin scanned {protocol} trial {trial}")
-            for origin in participating:
-                jobs.append(ObservationJob(
-                    index=len(jobs), protocol=protocol, trial=trial,
-                    origin=origin, config=config,
-                    first_trial=first_trials[origin.name],
-                    origin_names=origin_names,
-                    planned=planned))
-    return jobs
-
-
 def build_trial_batches(origins: Sequence[Origin], zmap: ZMapConfig,
                         protocols: Sequence[str], n_trials: int,
-                        planned: bool = True,
                         plane_only: bool = False,
                         origin_universe: Optional[Sequence[str]] = None
                         ) -> List[TrialBatchJob]:
-    """Flatten the campaign into fused (protocol, origin) trial batches.
+    """Flatten the campaign into (protocol, origin) trial batches.
 
-    The batched counterpart of :func:`build_observation_grid`: one job
-    per (protocol, origin) carrying every trial the origin participates
-    in, each with its trial-reseeded config (``seed + trial``).  Far
-    fewer jobs cross the executor boundary (origins × protocols instead
-    of the full grid), and each runs the fused kernel
-    (:func:`repro.sim.batch.observe_trial_batch`) — the reassembled
-    dataset is byte-identical to the per-cell grid's.
+    One job per (protocol, origin) carrying every trial the origin
+    participates in, each with its trial-reseeded config
+    (``seed + trial``), and the origin's ``first_trial`` — computed once
+    here, not per worker, because a worker cannot recover it without the
+    full origin participation schedule.  Jobs come out protocol-major in
+    campaign origin order, so flattening their trials recovers each
+    (protocol, trial) cell's origin order.
     """
     origin_names = _universe_names(origins, origin_universe)
     first_trials = {o.name: _first_trial(o, n_trials) for o in origins}
@@ -177,21 +146,18 @@ def build_trial_batches(origins: Sequence[Origin], zmap: ZMapConfig,
                 index=len(jobs), protocol=protocol, origin=origin,
                 trials=trials, configs=configs,
                 first_trial=first_trials[origin.name],
-                origin_names=origin_names, planned=planned,
-                plane_only=plane_only))
+                origin_names=origin_names, plane_only=plane_only))
     return jobs
 
 
-def run_campaign(world: World, origins: Sequence[Origin],
+def run_campaign(world, origins: Sequence[Origin],
                  zmap: ZMapConfig,
                  protocols: Sequence[str] = PROTOCOLS,
                  n_trials: int = 3,
                  executor: Union[str, Executor, None] = None,
                  workers: Optional[int] = None,
                  progress: Optional[ProgressCallback] = None,
-                 planned: bool = True,
-                 batch: Optional[bool] = None,
-                 telemetry: Union[str, os.PathLike, Telemetry, None] = None,
+                 telemetry: TelemetryArg = None,
                  origin_universe: Optional[Sequence[str]] = None
                  ) -> CampaignDataset:
     """Execute every (protocol, trial, origin) scan and collect results.
@@ -203,18 +169,14 @@ def run_campaign(world: World, origins: Sequence[Origin],
     ``executor`` picks the execution backend (``"serial"``, ``"thread"``,
     ``"process"``, or an :class:`Executor`); ``workers`` sizes its pool;
     ``progress`` is called as ``(jobs_done, jobs_total, job)`` after each
-    observation completes.  Output is bit-identical across backends; the
-    :class:`~repro.sim.executor.ExecutionReport` lands in
-    ``metadata["execution"]`` (including per-stage observe timings when
-    ``planned``).  ``planned=False`` routes every observation through the
-    unplanned reference path — byte-identical results, no plan caching.
+    trial batch completes.  Output is bit-identical across backends; the
+    :class:`~repro.sim.executor.ExecutionReport` (including per-stage
+    kernel timings) lands in ``metadata["execution"]``.
 
-    ``batch`` selects the fused trial-batch granularity (one job per
-    (protocol, origin) running :func:`repro.sim.batch.observe_trial_batch`
-    over its whole trial axis) instead of per-cell jobs.  The default
-    (``None``) is on unless ``REPRO_BATCH`` opts out; results are
-    byte-identical either way, and the unplanned reference path
-    (``planned=False``) always runs per cell.
+    ``world`` may also be a :class:`~repro.sim.shard.ShardedWorld`: its
+    shards stream one at a time under the memory-budget check and their
+    tables concatenate into exactly the dataset the monolithic world
+    yields.
 
     ``telemetry`` turns on run instrumentation: pass a journal path (an
     NDJSON journal plus run manifest is written there), a live
@@ -222,80 +184,87 @@ def run_campaign(world: World, origins: Sequence[Origin],
     ownership; the manifest is still emitted), or ``None`` to inherit the
     ambient context — usually the disabled no-op, which costs nothing.
     """
-    owned: Optional[Telemetry] = None
-    if telemetry is None:
-        tel = _telemetry()
-        activate = contextlib.nullcontext()
-    elif isinstance(telemetry, Telemetry):
-        tel = telemetry
-        activate = use(tel)
-    else:
-        owned = tel = Telemetry(journal=telemetry)
-        activate = use(tel)
-    if tel.enabled and getattr(tel, "trace_id", None) is None:
-        # Mint-if-absent: an offline campaign starts its own trace, but a
-        # serve-set request trace on the collector is never overwritten.
-        tel.trace_id = new_trace_id()
-    try:
-        with activate:
-            return _run_campaign(world, origins, zmap, protocols, n_trials,
-                                 executor, workers, progress, planned,
-                                 batch, tel, origin_universe)
-    finally:
-        if owned is not None:
-            owned.close()
+    return _stream_campaign(world, origins, zmap, protocols, n_trials,
+                           collect=True, executor=executor,
+                           workers=workers, progress=progress,
+                           telemetry=telemetry,
+                           origin_universe=origin_universe)
 
 
-def _run_campaign(world: World, origins: Sequence[Origin],
-                  zmap: ZMapConfig, protocols: Sequence[str],
-                  n_trials: int, executor, workers, progress, planned,
-                  batch, tel,
-                  origin_universe: Optional[Sequence[str]] = None
-                  ) -> CampaignDataset:
-    batched = batch_enabled(batch, planned)
-    with tel.span("campaign.run", seed=zmap.seed,
-                  protocols=list(protocols), n_trials=n_trials,
-                  origins=[o.name for o in origins], batch=batched):
-        if batched:
-            jobs = build_trial_batches(origins, zmap, protocols, n_trials,
-                                       planned=planned,
-                                       origin_universe=origin_universe)
-        else:
-            jobs = build_observation_grid(origins, zmap, protocols,
-                                          n_trials, planned=planned,
-                                          origin_universe=origin_universe)
+def _stream_campaign(world, origins: Sequence[Origin], zmap: ZMapConfig,
+                    protocols: Sequence[str], n_trials: int, *,
+                    collect: bool,
+                    executor: Union[str, Executor, None] = None,
+                    workers: Optional[int] = None,
+                    progress: Optional[ProgressCallback] = None,
+                    telemetry: TelemetryArg = None,
+                    origin_universe: Optional[Sequence[str]] = None,
+                    budget: Optional[int] = None,
+                    plane_cache: Optional[bool] = None,
+                    plane_extra: Optional[Mapping] = None,
+                    plane_dir: Union[str, os.PathLike, None] = None):
+    """The campaign driver behind :func:`run_campaign` and
+    :func:`~repro.sim.shard.run_sharded_campaign`.
+
+    Streams ``world`` shard by shard (a plain ``World`` is one shard;
+    a ``ShardedWorld`` is first checked against the memory ``budget``).
+    With ``collect`` it returns a :class:`CampaignDataset`; otherwise
+    jobs run plane-only, every unit is probed against the plane cache
+    (``plane_cache``/``plane_extra``/``plane_dir``, see
+    :func:`repro.serve.planecache.session_for`) and a
+    :class:`~repro.core.streaming.StreamingCampaignResult` comes back.
+    """
+    sharded = not isinstance(world, World)
+    n_shards = world.n_shards if sharded else 1
+    with contextlib.ExitStack() as stack:
+        tel = _activate_telemetry(telemetry, stack)
+        if sharded:
+            world.check_budget(len(origins), n_trials, budget)
+        jobs = build_trial_batches(origins, zmap, protocols, n_trials,
+                                   plane_only=not collect,
+                                   origin_universe=origin_universe)
+        session = None
+        if not collect:
+            from repro.serve import planecache
+            session = planecache.session_for(
+                world, zmap, _universe_names(origins, origin_universe),
+                n_shards=n_shards, enabled=plane_cache,
+                directory=plane_dir, extra=plane_extra)
         backend = make_executor(executor, workers)
-        observations, report = backend.run_grid(world, jobs,
-                                                progress=progress)
-
-        # One (origin name, observation) list per (protocol, trial) cell.
-        # Batch jobs iterate origins in campaign order per protocol, so
-        # flattening them recovers exactly the per-cell grid's origin
-        # order (the origin list filtered by participation).
-        by_cell: Dict[Tuple[str, int], List] = {}
-        if batched:
-            for job, per_trial in zip(jobs, observations):
-                for trial, obs in zip(job.trials, per_trial):
-                    by_cell.setdefault((job.protocol, trial), []).append(
-                        (job.origin.name, obs))
-        else:
-            for job, obs in zip(jobs, observations):
-                by_cell.setdefault((job.protocol, job.trial), []).append(
-                    (job.origin.name, obs))
-
-        # Cell order is fixed (protocol × ascending trial) regardless of
-        # job granularity, so table order never depends on the path.
         cells = [(protocol, trial) for protocol in protocols
                  for trial in range(n_trials)]
-        with tel.span("campaign.assemble", n_tables=len(cells)):
-            tables: List[TrialData] = []
-            for protocol, trial in cells:
-                members = by_cell[(protocol, trial)]
-                tables.append(_stack(
-                    protocol, trial,
-                    [name for name, _ in members],
-                    [obs for _, obs in members],
-                    zmap.n_probes))
+        # Per cell: the shards' tables (collect) or one accumulator.
+        if collect:
+            folded = {cell: [] for cell in cells}
+        else:
+            n_ases = len(world.topology.ases)
+            folded = {cell: StreamingTrial(protocol=cell[0], trial=cell[1],
+                                           n_ases=n_ases)
+                      for cell in cells}
+        reports: List[ExecutionReport] = []
+        with tel.span("shard.run_campaign" if sharded else "campaign.run",
+                      seed=zmap.seed, protocols=list(protocols),
+                      n_trials=n_trials, origins=[o.name for o in origins],
+                      n_shards=n_shards, plane_only=not collect):
+            for index in range(n_shards):
+                shard = world.shard_world(index) if sharded else world
+                with tel.span("shard.stream", shard=index,
+                              rows=len(shard.hosts)):
+                    outputs = _dispatch(shard, index, jobs, protocols,
+                                        backend, progress, session,
+                                        reports)
+                    with tel.span("campaign.assemble",
+                                  n_tables=len(cells)):
+                        for cell, (names, items) in _by_cell(
+                                jobs, outputs, cells).items():
+                            if collect:
+                                folded[cell].append(_stack(
+                                    cell[0], cell[1], names, items,
+                                    zmap.n_probes))
+                            else:
+                                _reduce_planes(folded[cell], names, items)
+                    tel.count("shard.shards_processed", 1)
+                del shard, outputs
 
         metadata: Dict[str, object] = {
             "seed": zmap.seed,
@@ -305,16 +274,105 @@ def _run_campaign(world: World, origins: Sequence[Origin],
             "scan_duration_s": zmap.scan_duration_s,
             "origins": [o.name for o in origins],
             "n_trials": n_trials,
-            "batch": batched,
-            "execution": report.to_metadata(),
         }
+        if sharded:
+            metadata["sharded"] = world.manifest.to_meta()
+        # A fully cached plane run dispatches nothing: its manifest
+        # still records the backend, with zero jobs.
+        report = ExecutionReport.merged(reports) if reports else \
+            ExecutionReport(backend=backend.name, workers=backend.workers,
+                            n_jobs=0, wall_s=0.0, job_wall_s=(),
+                            workers_used=0)
+        execution = report.to_metadata() if reports else {}
+        if sharded and reports:
+            execution["n_shards"] = len(reports)
+        metadata["execution"] = execution
+        if session is not None:
+            metadata["plane_cache"] = session.stats()
         if tel.enabled:
             manifest = build_manifest(world, zmap, origins, protocols,
                                       n_trials, report, tel)
             tel.emit({"t": "manifest", **manifest})
             metadata["telemetry"] = {"journal": tel.journal_path,
                                      "manifest": manifest}
-    return CampaignDataset(tables, metadata=metadata)
+    if not collect:
+        return StreamingCampaignResult(folded, metadata=metadata)
+    return CampaignDataset(
+        [parts[0] if len(parts) == 1 else _concat_tables(parts)
+         for parts in folded.values()], metadata=metadata)
+
+
+def _activate_telemetry(telemetry: TelemetryArg,
+                        stack: contextlib.ExitStack):
+    """The run's collector, made current for the life of ``stack``.
+
+    A journal path opens a collector that ``stack`` closes; a live
+    :class:`Telemetry` stays the caller's; ``None`` keeps the ambient
+    context.  An enabled collector without a trace gets one minted, but
+    a trace already set (a serve request's) is never overwritten.
+    """
+    if telemetry is None:
+        tel = _telemetry()
+    elif isinstance(telemetry, Telemetry):
+        tel = stack.enter_context(use(telemetry))
+    else:
+        tel = stack.enter_context(Telemetry(journal=telemetry))
+    if tel.enabled and getattr(tel, "trace_id", None) is None:
+        tel.trace_id = new_trace_id()
+    return tel
+
+
+def _dispatch(shard: World, index: int, jobs: Sequence[TrialBatchJob],
+              protocols: Sequence[str], backend: Executor,
+              progress: Optional[ProgressCallback], session,
+              reports: List[ExecutionReport]) -> Dict[int, Sequence]:
+    """Run one shard's share of the grid; ``job.index`` → outputs.
+
+    Jobs of a protocol the shard holds no hosts of are skipped (their
+    cells fold as zero rows).  With a plane-cache ``session`` every
+    (protocol, origin, trial) unit is probed first, only the misses are
+    dispatched, and fresh units are stored as they stream through.
+    """
+    present = {p: len(shard.hosts.for_protocol(p)) > 0 for p in protocols}
+    live = [job for job in jobs if present[job.protocol]]
+    cached: Dict[int, Dict[int, object]] = {}
+    dispatch = live
+    if session is not None:
+        dispatch, cached = _probe_plane_units(
+            live, lambda job, trial: session.probe(
+                job.protocol, job.origin.name, trial, shard_index=index))
+    outputs: Dict[int, Sequence] = {}
+    if dispatch:
+        results, report = backend.run_grid(shard, dispatch,
+                                           progress=progress)
+        reports.append(report)
+        outputs = dict(zip((job.index for job in dispatch), results))
+    if session is None:
+        return outputs
+    return _merge_plane_outputs(
+        live, outputs, cached,
+        store=lambda job, trial, plane: session.store(
+            job.protocol, job.origin.name, trial, plane,
+            shard_index=index))
+
+
+def _by_cell(jobs: Sequence[TrialBatchJob], outputs: Mapping[int, Sequence],
+             cells: Sequence[Tuple[str, int]]) -> Dict[Tuple[str, int],
+                                                       Tuple[list, list]]:
+    """(origin names, outputs-or-None) per (protocol, trial) cell.
+
+    Jobs are protocol-major in campaign origin order, so each cell lists
+    its participating origins in campaign order; a job without outputs
+    (its protocol is absent from the shard) contributes ``None``.
+    """
+    by_cell = {cell: ([], []) for cell in cells}
+    for job in jobs:
+        per_trial = outputs.get(job.index)
+        for k, trial in enumerate(job.trials):
+            names, items = by_cell[(job.protocol, trial)]
+            names.append(job.origin.name)
+            items.append(None if per_trial is None else per_trial[k])
+    return by_cell
 
 
 def _probe_plane_units(jobs: Sequence[TrialBatchJob], probe):
@@ -383,152 +441,6 @@ def _merge_plane_outputs(jobs: Sequence[TrialBatchJob],
                 store(job, trial, plane)
         merged[job.index] = outputs
     return merged
-
-
-def run_plane_campaign(world: World, origins: Sequence[Origin],
-                       zmap: ZMapConfig,
-                       protocols: Sequence[str] = PROTOCOLS,
-                       n_trials: int = 3,
-                       executor: Union[str, Executor, None] = None,
-                       workers: Optional[int] = None,
-                       planned: bool = True,
-                       batch: Optional[bool] = None,
-                       origin_universe: Optional[Sequence[str]] = None,
-                       plane_cache: Optional[bool] = None,
-                       plane_extra: Optional[Mapping] = None,
-                       plane_dir: Union[str, os.PathLike, None] = None,
-                       telemetry: Union[str, os.PathLike, Telemetry,
-                                        None] = None):
-    """Run a monolithic campaign straight into streaming accumulators.
-
-    The plane-granular counterpart of :func:`run_campaign`: fused
-    trial-batch jobs run in *plane-only* mode and their
-    :class:`~repro.sim.batch.PlaneSlice` columns stream into
-    :class:`~repro.core.streaming.StreamingTrial` accumulators — no
-    per-cell ``Observation``/``TrialData`` ever materializes — and the
-    grid is decomposed into per-(protocol, origin, trial) units probed
-    against the plane cache (:mod:`repro.serve.planecache`) so only
-    missing units are dispatched.  ``plane_cache`` is tri-state:
-    ``None`` defers to ``REPRO_PLANE_CACHE`` (on by default),
-    ``False`` forces the non-incremental differential reference.  With
-    batching disabled (``REPRO_BATCH=0`` / ``batch=False``) the per-cell
-    grid runs instead and is reduced table-wise — byte-identical planes,
-    no caching.
-
-    Returns a :class:`~repro.core.streaming.StreamingCampaignResult`
-    whose planes and report are byte-identical to a cold full
-    recompute, regardless of which units were cached.
-    """
-    from repro.core.streaming import StreamingCampaignResult, StreamingTrial
-
-    owned: Optional[Telemetry] = None
-    if telemetry is None:
-        tel = _telemetry()
-        activate = contextlib.nullcontext()
-    elif isinstance(telemetry, Telemetry):
-        tel = telemetry
-        activate = use(tel)
-    else:
-        owned = tel = Telemetry(journal=telemetry)
-        activate = use(tel)
-    if tel.enabled and getattr(tel, "trace_id", None) is None:
-        tel.trace_id = new_trace_id()
-    try:
-        with activate:
-            batched = batch_enabled(batch, planned)
-            session = None
-            if batched:
-                from repro.serve import planecache
-                session = planecache.session_for(
-                    world, zmap,
-                    _universe_names(origins, origin_universe),
-                    enabled=plane_cache, directory=plane_dir,
-                    extra=plane_extra)
-            with tel.span("campaign.run_planes", seed=zmap.seed,
-                          protocols=list(protocols), n_trials=n_trials,
-                          origins=[o.name for o in origins],
-                          batch=batched, plane_cache=session is not None):
-                if batched:
-                    jobs = build_trial_batches(
-                        origins, zmap, protocols, n_trials,
-                        planned=planned, plane_only=True,
-                        origin_universe=origin_universe)
-                else:
-                    jobs = build_observation_grid(
-                        origins, zmap, protocols, n_trials,
-                        planned=planned, origin_universe=origin_universe)
-                backend = make_executor(executor, workers)
-                if session is not None:
-                    live, cached = _probe_plane_units(
-                        jobs, lambda job, trial: session.probe(
-                            job.protocol, job.origin.name, trial))
-                else:
-                    live, cached = list(jobs), {}
-                report = None
-                if live:
-                    observations, report = backend.run_grid(world, live)
-                    by_index = dict(zip((j.index for j in live),
-                                        observations))
-                else:
-                    by_index = {}
-                if batched:
-                    store = None
-                    if session is not None:
-                        store = lambda job, trial, plane: session.store(  # noqa: E731
-                            job.protocol, job.origin.name, trial, plane)
-                    outputs_by_job = _merge_plane_outputs(
-                        jobs, by_index, cached, store=store)
-
-                by_cell: Dict[Tuple[str, int], List] = {}
-                if batched:
-                    for job in jobs:
-                        outputs = outputs_by_job[job.index]
-                        for trial, plane in zip(job.trials, outputs):
-                            by_cell.setdefault(
-                                (job.protocol, trial), []).append(
-                                (job.origin.name, plane))
-                else:
-                    for job in jobs:
-                        by_cell.setdefault(
-                            (job.protocol, job.trial), []).append(
-                            (job.origin.name, by_index[job.index]))
-
-                from repro.sim.shard import _reduce_planes
-                n_ases = len(world.topology.ases)
-                accumulators: Dict[Tuple[str, int], StreamingTrial] = {}
-                for protocol in protocols:
-                    for trial in range(n_trials):
-                        members = by_cell[(protocol, trial)]
-                        names = [name for name, _ in members]
-                        acc = StreamingTrial(protocol=protocol,
-                                             trial=trial, n_ases=n_ases)
-                        accumulators[(protocol, trial)] = acc
-                        if batched:
-                            _reduce_planes(acc, names,
-                                           [p for _, p in members])
-                        else:
-                            acc.add_shard(_stack(
-                                protocol, trial, names,
-                                [o for _, o in members], zmap.n_probes))
-
-                metadata: Dict[str, object] = {
-                    "seed": zmap.seed,
-                    "n_probes": zmap.n_probes,
-                    "probe_spacing_s": zmap.probe_spacing_s,
-                    "pps": zmap.pps,
-                    "scan_duration_s": zmap.scan_duration_s,
-                    "origins": [o.name for o in origins],
-                    "n_trials": n_trials,
-                    "batch": batched,
-                    "execution": report.to_metadata() if report is not None
-                    else {},
-                }
-                if session is not None:
-                    metadata["plane_cache"] = session.stats()
-            return StreamingCampaignResult(accumulators, metadata=metadata)
-    finally:
-        if owned is not None:
-            owned.close()
 
 
 def campaign_fingerprint(world: World, zmap: ZMapConfig,
@@ -635,10 +547,16 @@ def _first_trial(origin: Origin, n_trials: int) -> int:
 
 
 def _stack(protocol: str, trial: int, origins: List[str],
-           observations: List[Observation], n_probes: int) -> TrialData:
-    """Combine aligned per-origin observations into one TrialData."""
-    if not observations:
-        raise ValueError(f"no origin scanned {protocol} trial {trial}")
+           observations: List[Optional[Observation]],
+           n_probes: int) -> TrialData:
+    """Combine aligned per-origin observations into one TrialData.
+
+    ``None`` entries stand for a shard without hosts of the protocol and
+    stack as zero rows.
+    """
+    observations = [obs if obs is not None
+                    else _empty_observation(protocol, trial, name)
+                    for name, obs in zip(origins, observations)]
     reference = observations[0]
     for obs in observations[1:]:
         if not np.array_equal(obs.ip, reference.ip):
@@ -658,3 +576,56 @@ def _stack(protocol: str, trial: int, origins: List[str],
         l7=np.stack([o.l7 for o in observations]),
         time=np.stack([o.time for o in observations]),
         n_probes=n_probes)
+
+
+def _empty_observation(protocol: str, trial: int,
+                       origin: str) -> Observation:
+    """A zero-row observation for a shard with no hosts of a protocol."""
+    return Observation(
+        protocol=protocol, trial=trial, origin=origin,
+        ip=np.zeros(0, dtype=np.uint32),
+        as_index=np.zeros(0, dtype=np.int64),
+        country_index=np.zeros(0, dtype=np.int64),
+        geo_index=np.zeros(0, dtype=np.int64),
+        probe_mask=np.zeros(0, dtype=np.uint8),
+        l7=np.zeros(0, dtype=np.uint8),
+        time=np.zeros(0, dtype=np.float32))
+
+
+def _reduce_planes(acc: StreamingTrial, names: List[str],
+                   slices: List) -> None:
+    """Stream one cell's plane slices into an accumulator.
+
+    ``slices`` holds one :class:`~repro.sim.batch.PlaneSlice` per origin
+    (campaign order), or ``None`` entries when the shard has no hosts of
+    the protocol (reduced as zero rows).
+    """
+    reference = next((s for s in slices if s is not None), None)
+    if reference is None:
+        acc.add_shard_planes(names, np.zeros(0, dtype=np.int64),
+                             np.zeros((len(names), 0), dtype=bool))
+        return
+    for plane_slice in slices:
+        if not np.array_equal(plane_slice.ip, reference.ip):
+            raise AssertionError(
+                "origins disagree on the scanned service set — churn or "
+                "blocklists are origin-dependent, which violates the "
+                "synchronized-campaign invariant")
+    acc.add_shard_planes(names, reference.as_index,
+                         np.stack([s.accessible for s in slices]))
+
+
+def _concat_tables(parts: Sequence[TrialData]) -> TrialData:
+    """Column-wise concatenation of one trial's per-shard tables."""
+    first = parts[0]
+    return TrialData(
+        protocol=first.protocol, trial=first.trial,
+        origins=list(first.origins),
+        ip=np.concatenate([p.ip for p in parts]),
+        as_index=np.concatenate([p.as_index for p in parts]),
+        country_index=np.concatenate([p.country_index for p in parts]),
+        geo_index=np.concatenate([p.geo_index for p in parts]),
+        probe_mask=np.concatenate([p.probe_mask for p in parts], axis=1),
+        l7=np.concatenate([p.l7 for p in parts], axis=1),
+        time=np.concatenate([p.time for p in parts], axis=1),
+        n_probes=first.n_probes)

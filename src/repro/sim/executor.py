@@ -5,7 +5,10 @@ observations: every stochastic draw in the simulator is counter-addressed
 (:mod:`repro.rng`), so the outcome of one observation never depends on
 when — or in which worker — any other observation ran.  This module
 exploits that property to fan the grid out across threads or processes
-while guaranteeing results bit-identical to serial execution.
+while guaranteeing results bit-identical to serial execution.  The unit
+of work is a :class:`TrialBatchJob`: every trial of one (protocol,
+origin), evaluated in one pass of the observation kernel
+(:func:`repro.sim.batch.observe_trial_batch`).
 
 Three backends share one interface:
 
@@ -18,8 +21,8 @@ Three backends share one interface:
   broadcast once through ``multiprocessing.shared_memory`` (workers
   attach zero-copy read-only views and rebuild the world around them),
   with the small scalar skeleton pickled per worker.  Job payloads stay
-  small (an :class:`Origin`, a trial-reseeded :class:`ZMapConfig`, and
-  indices).  ``REPRO_WORLD_TRANSPORT=pickle`` — or any failure to
+  small (an :class:`Origin`, its trial-reseeded
+  :class:`ZMapConfig` tuple, and indices).  ``REPRO_WORLD_TRANSPORT=pickle`` — or any failure to
   create the shared block — falls back to pickling the whole world into
   the pool initializer, the pre-shared-memory behaviour.
 
@@ -55,7 +58,7 @@ from repro.origins import Origin
 from repro.scanner.zmap import ZMapConfig, ZMapScanner
 from repro.sim.batch import BatchOutput, observe_trial_batch
 from repro.sim.plan import ObserveProfile
-from repro.sim.world import Observation, World
+from repro.sim.world import World
 from repro.telemetry.context import Telemetry, current as _telemetry, \
     peak_rss_bytes as _peak_rss, use
 from repro.telemetry.tracing import TraceContext
@@ -73,44 +76,21 @@ ENV_TRANSPORT = "REPRO_WORLD_TRANSPORT"
 TRANSPORTS = ("shm", "pickle")
 
 #: Progress callback signature: ``(jobs_done, jobs_total, job)``.
-ProgressCallback = Callable[[int, int, "Job"], None]
-
-
-@dataclass(frozen=True)
-class ObservationJob:
-    """One schedulable ``(protocol, trial, origin)`` observation.
-
-    ``config`` is already trial-reseeded (``seed + trial``), and
-    ``first_trial`` is precomputed by the grid builder, so a worker needs
-    no context beyond the world itself — results are identical no matter
-    which worker runs the job, or in what order.
-    """
-
-    index: int
-    protocol: str
-    trial: int
-    origin: Origin
-    config: ZMapConfig
-    first_trial: int
-    origin_names: Tuple[str, ...]
-    #: Whether to observe through a compiled plan (the default).  The
-    #: unplanned reference path exists for differential testing
-    #: (``run_campaign(..., planned=False)``).
-    planned: bool = True
+ProgressCallback = Callable[[int, int, "TrialBatchJob"], None]
 
 
 @dataclass(frozen=True)
 class TrialBatchJob:
     """One schedulable ``(protocol, origin)`` *trial batch*.
 
-    The batched granularity: all trials this origin participates in for
-    one protocol, evaluated in a single fused kernel pass
-    (:func:`repro.sim.batch.observe_trial_batch`).  ``configs`` carries
-    one trial-reseeded :class:`~repro.scanner.zmap.ZMapConfig` per entry
-    of ``trials`` — the same reseeding the per-cell grid applies — so a
-    batch job's outputs are byte-identical to the per-cell jobs it
-    replaces, while shipping far fewer pickles per campaign (one job per
-    (protocol, origin) instead of one per grid cell).
+    All trials this origin participates in for one protocol, evaluated in
+    a single kernel pass (:func:`repro.sim.batch.observe_trial_batch`).
+    ``configs`` carries one trial-reseeded
+    :class:`~repro.scanner.zmap.ZMapConfig` per entry of ``trials``
+    (``seed + trial``), and ``first_trial`` is precomputed by the grid
+    builder — a worker cannot recover it without the full origin
+    participation schedule — so a worker needs no context beyond the
+    world itself.
 
     ``plane_only`` skips Observation materialization and returns
     :class:`~repro.sim.batch.PlaneSlice` columns for streamed analyses.
@@ -123,28 +103,23 @@ class TrialBatchJob:
     configs: Tuple[ZMapConfig, ...]
     first_trial: int
     origin_names: Tuple[str, ...]
-    planned: bool = True
     plane_only: bool = False
-
-
-#: Anything an executor can schedule.
-Job = Union[ObservationJob, TrialBatchJob]
 
 
 @dataclass(frozen=True)
 class JobResult:
-    """An observation plus the instrumentation the report aggregates.
+    """A job's per-trial outputs plus the instrumentation the report
+    aggregates.
 
-    For a :class:`TrialBatchJob`, ``observation`` is a tuple of per-trial
-    outputs (in ``job.trials`` order) instead of a single observation.
+    ``observation`` holds one output per entry of ``job.trials``, in
+    that order.
     """
 
     index: int
-    observation: Union[Observation, Tuple[BatchOutput, ...]]
+    observation: Tuple[BatchOutput, ...]
     wall_s: float
     worker: str
-    #: Per-stage wall times of this observation (planned jobs only),
-    #: as ``(stage, seconds)`` pairs.
+    #: Per-stage wall times of the job, as ``(stage, seconds)`` pairs.
     stages: Tuple[Tuple[str, float], ...] = ()
     #: Job-local telemetry snapshot (:meth:`Telemetry.snapshot`), present
     #: when the grid ran under an active telemetry context.  Plain data,
@@ -172,8 +147,8 @@ class ExecutionReport:
     wall_s: float
     job_wall_s: Tuple[float, ...]
     workers_used: int
-    #: Observe-stage → total seconds, summed over every planned job (see
-    #: :class:`repro.sim.plan.ObserveProfile`); empty for unplanned runs.
+    #: Observe-stage → total seconds, summed over every job (see
+    #: :class:`repro.sim.plan.ObserveProfile`).
     stage_s: Tuple[Tuple[str, float], ...] = ()
     #: How the world reached the workers (``"shm"`` or ``"pickle"``);
     #: empty for backends that share the world in-process.
@@ -181,6 +156,29 @@ class ExecutionReport:
     #: High-water resident memory over the run, in bytes: the max of the
     #: parent process and every worker that ran a job (0 if unknown).
     peak_rss_bytes: int = 0
+
+    @classmethod
+    def merged(cls, reports: Sequence["ExecutionReport"]
+               ) -> "ExecutionReport":
+        """One report for a run that executed several grids (one per
+        shard): jobs, job walls and stage times add up, peaks take the
+        max."""
+        if len(reports) == 1:
+            return reports[0]
+        stage_totals: Dict[str, float] = {}
+        for report in reports:
+            for stage, seconds in report.stage_s:
+                stage_totals[stage] = stage_totals.get(stage, 0.0) + seconds
+        first = reports[0]
+        return cls(
+            backend=first.backend, workers=first.workers,
+            n_jobs=sum(r.n_jobs for r in reports),
+            wall_s=sum(r.wall_s for r in reports),
+            job_wall_s=tuple(w for r in reports for w in r.job_wall_s),
+            workers_used=max(r.workers_used for r in reports),
+            stage_s=tuple(sorted(stage_totals.items())),
+            transport=first.transport,
+            peak_rss_bytes=max(r.peak_rss_bytes for r in reports))
 
     @property
     def busy_s(self) -> float:
@@ -215,58 +213,21 @@ class ExecutionReport:
         return out
 
 
-def run_job(world: World, job: Job, collect: bool = False,
+def run_job(world: World, job: TrialBatchJob, collect: bool = False,
             trace: Optional[TraceContext] = None) -> JobResult:
     """Execute one job against a world (any backend).
 
-    Dispatches on the job type: an :class:`ObservationJob` runs one
-    per-cell observation; a :class:`TrialBatchJob` runs the fused
-    trial-batch kernel and returns a tuple of per-trial outputs.
-
-    With ``collect=True`` the job runs under a fresh job-local
-    :class:`~repro.telemetry.context.Telemetry` whose snapshot rides back
-    in the result; the parent adopts snapshots in job-index order, so the
-    merged journal and counter totals are identical no matter which
-    worker (or backend) ran the job.  A ``trace`` context stamps every
-    job-local span with the originating request/campaign's trace ID —
-    the snapshot carries it back across the pickle boundary, so adopted
-    spans stay correlated with the tree that spawned them.
+    Runs the observation kernel over the job's trial axis and returns a
+    tuple of per-trial outputs.  With ``collect=True`` the job runs under
+    a fresh job-local :class:`~repro.telemetry.context.Telemetry` whose
+    snapshot rides back in the result; the parent adopts snapshots in
+    job-index order, so the merged journal and counter totals are
+    identical no matter which worker (or backend) ran the job.  A
+    ``trace`` context stamps every job-local span with the originating
+    request/campaign's trace ID — the snapshot carries it back across
+    the pickle boundary, so adopted spans stay correlated with the tree
+    that spawned them.
     """
-    if isinstance(job, TrialBatchJob):
-        return _run_batch_job(world, job, collect, trace)
-    start = time.perf_counter()
-    scanner = ZMapScanner(job.config)
-    profile = ObserveProfile() if job.planned else None
-    worker = f"{os.getpid()}/{threading.current_thread().name}"
-    snapshot = None
-    if collect:
-        job_tel = Telemetry(
-            trace_id=trace.trace_id if trace is not None else None)
-        with use(job_tel):
-            with job_tel.span("executor.job", index=job.index,
-                              protocol=job.protocol, trial=job.trial,
-                              origin=job.origin.name):
-                observation = world.observe(
-                    job.protocol, job.trial, job.origin, scanner,
-                    job.origin_names, first_trial=job.first_trial,
-                    plan=None if job.planned else False, profile=profile)
-        job_tel.count("executor.jobs", 1)
-        job_tel.count("runtime.worker_jobs", 1, worker=worker)
-        snapshot = job_tel.snapshot()
-    else:
-        observation = world.observe(
-            job.protocol, job.trial, job.origin, scanner, job.origin_names,
-            first_trial=job.first_trial,
-            plan=None if job.planned else False, profile=profile)
-    wall = time.perf_counter() - start
-    stages = tuple(profile.stage_s.items()) if profile is not None else ()
-    return JobResult(job.index, observation, wall, worker, stages,
-                     snapshot, _peak_rss())
-
-
-def _run_batch_job(world: World, job: TrialBatchJob, collect: bool,
-                   trace: Optional[TraceContext]) -> JobResult:
-    """Run one fused trial batch (see :func:`run_job`)."""
     start = time.perf_counter()
     scanners = tuple(ZMapScanner(config) for config in job.configs)
     profile = ObserveProfile()
@@ -315,7 +276,7 @@ class Executor(ABC):
             else (os.cpu_count() or 1)
 
     @abstractmethod
-    def _execute(self, world: World, jobs: Sequence[Job],
+    def _execute(self, world: World, jobs: Sequence[TrialBatchJob],
                  progress: Optional[ProgressCallback], collect: bool,
                  trace: Optional[TraceContext]) -> List[JobResult]:
         """Run every job, in any order, returning all results.
@@ -326,10 +287,10 @@ class Executor(ABC):
         worker boundary.
         """
 
-    def run_grid(self, world: World, jobs: Sequence[Job],
+    def run_grid(self, world: World, jobs: Sequence[TrialBatchJob],
                  progress: Optional[ProgressCallback] = None
                  ) -> Tuple[List, ExecutionReport]:
-        """Run the grid; observations come back in job-index order.
+        """Run the grid; per-job outputs come back in job-index order.
 
         Under an active telemetry context the whole grid runs inside an
         ``executor.run_grid`` span, and every job's telemetry snapshot is
@@ -393,7 +354,7 @@ class SerialExecutor(Executor):
     def __init__(self, workers: Optional[int] = None) -> None:
         super().__init__(1)
 
-    def _execute(self, world: World, jobs: Sequence[Job],
+    def _execute(self, world: World, jobs: Sequence[TrialBatchJob],
                  progress: Optional[ProgressCallback], collect: bool,
                  trace: Optional[TraceContext]) -> List[JobResult]:
         results: List[JobResult] = []
@@ -415,7 +376,7 @@ class ThreadExecutor(Executor):
 
     name = "thread"
 
-    def _execute(self, world: World, jobs: Sequence[Job],
+    def _execute(self, world: World, jobs: Sequence[TrialBatchJob],
                  progress: Optional[ProgressCallback], collect: bool,
                  trace: Optional[TraceContext]) -> List[JobResult]:
         with ThreadPoolExecutor(max_workers=self.workers) as pool:
@@ -464,7 +425,7 @@ def _process_init_shm(name: str, skeleton: bytes, layout: Sequence[dict],
     _WORKER_TRACE = trace
 
 
-def _process_run_job(job: Job) -> JobResult:
+def _process_run_job(job: TrialBatchJob) -> JobResult:
     if _WORKER_WORLD is None:
         raise RuntimeError("worker process was not initialized with a world")
     return run_job(_WORKER_WORLD, job, collect=_WORKER_COLLECT,
@@ -540,7 +501,7 @@ class ProcessExecutor(Executor):
                 f"expected one of {TRANSPORTS}")
         self.transport = transport
 
-    def _execute(self, world: World, jobs: Sequence[Job],
+    def _execute(self, world: World, jobs: Sequence[TrialBatchJob],
                  progress: Optional[ProgressCallback], collect: bool,
                  trace: Optional[TraceContext]) -> List[JobResult]:
         tel = _telemetry()

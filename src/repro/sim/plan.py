@@ -1,27 +1,26 @@
-"""Compiled observation plans for the ``World.observe()`` hot path.
+"""Compiled observation state for the observation kernel.
 
-A plan precomputes, once per (protocol, scanner configuration), everything
-about an observation that does not depend on the trial or the origin:
+The kernel (:func:`repro.sim.batch.observe_trial_batch`) reads three
+kinds of precomputed state:
 
-* a **CSR-style AS-grouping index** over the protocol view, so "which kept
-  services belong to AS *i*" is a slice lookup instead of an
-  ``as_idx == i`` scan over every service — and the policy loops iterate
-  only over ASes that actually declare specs;
-* **cross-call caches** for the per-view GeoIP translation, the scanner's
-  eligibility mask, probe-schedule base times, host-id casts, and every
-  persistent (origin/trial-independent) per-host draw the blocking models
-  make (churn stability, L7 deadness/flakiness, MaxStartups membership);
-* **per-origin policy compilation**: for each origin, the dense list of
-  (AS, coverage, rng stream key) entries of the firewalls/policies/IDSes
-  that block it, so coverage draws run over concatenated member indices
-  in a handful of vectorized operations.
+* :class:`HostCaches`, once per protocol: a **CSR-style AS-grouping
+  index** over the protocol view, so "which kept services belong to AS
+  *i*" is a slice lookup instead of an ``as_idx == i`` scan, plus every
+  persistent (origin/trial-independent) per-host draw the blocking
+  models make (churn stability, L7 deadness/flakiness, MaxStartups
+  membership) and the GeoIP translation;
+* :class:`ObservationPlan`, once per (protocol, scanner configuration):
+  the scanner's eligibility mask and probe-schedule base times;
+* **per-origin policy compilation**, cached on the plan: for each
+  origin, the dense list of (AS, coverage, rng stream key) entries of
+  the firewalls/policies/IDSes that block it, so coverage draws run over
+  concatenated member indices in a handful of vectorized operations.
 
-Plans are pure acceleration: the planned and unplanned observation paths
-are byte-identical for every :class:`~repro.sim.world.Observation` field
-(differential suite: ``tests/test_plan_equivalence.py``).  Every cached
-draw is a pure function of ``(seed, stream key, counters)``, so slicing a
-full-view cache by the per-trial ``keep`` subset reproduces exactly the
-draws the unplanned path makes on the subset.
+Every cached draw is a pure function of ``(seed, stream key,
+counters)``, so slicing a full-view cache by a trial's ``keep`` subset
+reproduces exactly the draws a direct evaluation makes on the subset
+(differential suite: ``tests/test_plan_equivalence.py``, against the
+reference path in ``tests/observe_oracle.py``).
 
 Plans are picklable, but :class:`~repro.sim.world.World` deliberately
 drops its plan cache when pickled (process-executor payloads stay small;
@@ -33,21 +32,23 @@ from __future__ import annotations
 
 import time
 from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-#: Stage names in reporting order (used by profile rendering).
-STAGES = ("filter", "schedule", "l4_static", "l4_ids", "path", "l7")
+#: Kernel stage names in reporting order (used by profile rendering);
+#: ``emit`` is the final row/plane materialization.
+STAGES = ("filter", "schedule", "l4_static", "l4_ids", "path", "l7",
+          "emit")
 
 
 class ObserveProfile:
-    """Per-stage wall-time accumulator for planned observations.
+    """Per-stage wall-time accumulator for the observation kernel.
 
-    One profile lives on each plan (accumulating across every call that
-    used the plan); callers may pass their own to
-    :meth:`~repro.sim.world.World.observe` to meter a single call.  The
-    executor aggregates per-job profiles into
+    Callers may pass one to :meth:`~repro.sim.world.World.observe` or
+    :func:`~repro.sim.batch.observe_trial_batch` to meter their calls;
+    each observed trial counts as one observation.  The executor
+    aggregates per-job profiles into
     ``metadata["execution"]["stages"]`` so benchmark regressions can be
     attributed to a stage.
     """
@@ -103,18 +104,17 @@ class _StageTimer:
     """Stamps stage boundaries into one or more profiles.
 
     When an enabled telemetry context is passed, every stamp also emits
-    an ``observe.<stage>`` child span (wall + CPU time) into it — the
-    stage spans of the run journal and the :class:`ObserveProfile`
+    an ``observe.batched.<stage>`` child span (wall + CPU time) into it
+    — the stage spans of the run journal and the :class:`ObserveProfile`
     numbers come from the same boundary, so they can never disagree.
     """
 
-    __slots__ = ("profiles", "_last", "_tel", "_cpu_last", "_prefix")
+    __slots__ = ("profiles", "_last", "_tel", "_cpu_last")
 
     def __init__(self, *profiles: Optional[ObserveProfile],
-                 tel=None, prefix: str = "observe.") -> None:
+                 tel=None) -> None:
         self.profiles = [p for p in profiles if p is not None]
         self._tel = tel if tel is not None and tel.enabled else None
-        self._prefix = prefix
         self._last = time.perf_counter()
         self._cpu_last = time.process_time() if self._tel else 0.0
 
@@ -126,7 +126,7 @@ class _StageTimer:
         self._last = now
         if self._tel is not None:
             cpu_now = time.process_time()
-            self._tel.span_event(f"{self._prefix}{stage}", elapsed,
+            self._tel.span_event(f"observe.batched.{stage}", elapsed,
                                  cpu_now - self._cpu_last)
             self._cpu_last = cpu_now
 
@@ -237,56 +237,22 @@ class HostCaches:
     blocking specs) and the protocol — none of it depends on the scanner
     seed, shard, or schedule.  A campaign reseeds the scanner per trial
     (``seed + trial``), which keys a fresh :class:`ObservationPlan` per
-    trial; hoisting these arrays into one shared cache makes the
+    trial; hoisting these arrays into one shared cache keeps the
     per-trial plan build cheap (eligibility + schedule only) and lets
-    the fused trial-batch kernel (:mod:`repro.sim.batch`) gather host
-    state once for a whole trial axis.  Plans built from the same cache
-    share these arrays by reference — including the lazy ``persist_u``
-    per-origin dict, which is scanner-independent by construction.
-    """
-
-    protocol: str
-    n_view: int
-    n_ases: int
-    geo_version: Tuple[int, int]
-    grouping: ASGrouping
-    geo_full: np.ndarray
-    host_ids_full: np.ndarray       # uint64
-    stable_full: np.ndarray         # bool (churn stability class)
-    dead_full: np.ndarray           # bool (persistently L7-dead)
-    flaky_full: np.ndarray          # bool (transiently flaky membership)
-    drop_full: np.ndarray           # bool (failure style: drop vs close)
-    ms_affected_full: Optional[np.ndarray]   # bool, SSH only
-    ms_probs_full: Optional[np.ndarray]      # float64, SSH only
-    ms_style_full: Optional[np.ndarray]      # bool, SSH only (RST vs FIN)
-    static_systems: Tuple[int, ...]
-    ids_systems: Tuple[int, ...]
-    temporal_systems: Tuple[int, ...]
-    #: Shared across every plan of this protocol (draws are
-    #: scanner-independent: keyed by origin state group and host id only).
-    persist_u: Dict[str, np.ndarray] = field(default_factory=dict)
-
-
-@dataclass
-class ObservationPlan:
-    """Precomputed state for fast observations of one (protocol, config).
-
-    Built by :meth:`repro.sim.world.World.plan`; reused across every trial
-    and origin of a campaign.  All fields are plain data (picklable).
+    the kernel gather host state once for a whole trial axis.  The lazy
+    ``persist_u`` per-origin dict is scanner-independent by
+    construction, so it lives here too.
     """
 
     protocol: str
     n_view: int
     n_ases: int
     #: :attr:`repro.topology.geo.GeoIPDatabase.version` at build time; a
-    #: mismatch on fetch invalidates the plan (stale ``geo_full``).
+    #: mismatch on fetch rebuilds the caches (stale ``geo_full``).
     geo_version: Tuple[int, int]
     grouping: ASGrouping
-    # Full-view cross-call caches, sliced by ``keep`` per observation.
     geo_full: np.ndarray
     host_ids_full: np.ndarray       # uint64
-    eligible_full: np.ndarray       # bool
-    base_first_full: np.ndarray     # float64, drift-free first-probe times
     stable_full: np.ndarray         # bool (churn stability class)
     dead_full: np.ndarray           # bool (persistently L7-dead)
     flaky_full: np.ndarray          # bool (transiently flaky membership)
@@ -298,15 +264,31 @@ class ObservationPlan:
     static_systems: Tuple[int, ...]
     ids_systems: Tuple[int, ...]
     temporal_systems: Tuple[int, ...]
-    # Lazy per-origin caches (identical on rebuild: draws are pure).
+    #: Per-origin persistent-loss draws, keyed by origin name (draws are
+    #: keyed by origin state group and host id only).
+    persist_u: Dict[str, np.ndarray] = field(default_factory=dict)
+
+
+@dataclass
+class ObservationPlan:
+    """The scanner-dependent state of one (protocol, scanner config).
+
+    Built by :meth:`repro.sim.world.World.plan`; reused across every
+    origin that observes with the config.  All fields are plain data
+    (picklable).
+    """
+
+    protocol: str
+    eligible_full: np.ndarray       # bool
+    base_first_full: np.ndarray     # float64, drift-free first-probe times
+    #: Lazy per-origin compiled policies (identical on rebuild: draws
+    #: are pure).
     origin_policies: Dict[str, CompiledOriginPolicy] = \
         field(default_factory=dict)
-    persist_u: Dict[str, np.ndarray] = field(default_factory=dict)
-    profile: ObserveProfile = field(default_factory=ObserveProfile)
 
     def position_of_row(self, keep: np.ndarray) -> np.ndarray:
         """Full-view row index → position in the kept subset (-1 if cut)."""
-        positions = np.full(self.n_view, -1, dtype=np.int64)
+        positions = np.full(len(self.eligible_full), -1, dtype=np.int64)
         positions[keep] = np.arange(len(keep), dtype=np.int64)
         return positions
 

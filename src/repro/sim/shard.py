@@ -22,9 +22,10 @@ observe/execute/analyze on a fixed memory budget:
   draw is elementwise in (host, AS, trial, origin), so the shard
   world's observation equals the monolithic observation restricted to
   the shard's rows.
-* **Streaming execution.**  :func:`run_sharded_campaign` runs the
-  (protocol × trial × origin) grid one shard at a time through the
-  ordinary executor backends and reduces each shard's tables into
+* **Streaming execution.**  The campaign driver
+  (:mod:`repro.sim.campaign`) runs the (protocol × trial × origin) grid
+  one shard at a time through the ordinary executor backends;
+  :func:`run_sharded_campaign` reduces each shard's planes into
   :mod:`repro.core.streaming` accumulators immediately, so resident
   state is one shard plus bit-plane accumulators.  A memory-budget
   model (``REPRO_MEMORY_BUDGET``, default 512 MB) rejects shard plans
@@ -39,12 +40,11 @@ executor backends.
 
 from __future__ import annotations
 
-import dataclasses
 import hashlib
 import json
 import os
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, Dict, Optional, Sequence, Tuple, Union
 
 import numpy as np
 
@@ -54,8 +54,7 @@ from repro.hosts.table import HostTable
 from repro.origins import Origin
 from repro.rng import CounterRNG
 from repro.scanner.zmap import ZMapConfig
-from repro.sim.world import Observation, World, WorldDefaults
-from repro.telemetry.context import current as _telemetry
+from repro.sim.world import World, WorldDefaults
 from repro.topology.asn import PROTOCOLS
 from repro.topology.generator import Topology, build_topology
 from repro.topology.geo import default_countries
@@ -268,12 +267,28 @@ class ShardedWorld:
 
         One shard's host columns plus every (protocol, trial, origin)
         observation of it held between execution and reduction — the
-        model behind the budget check in :func:`run_sharded_campaign`
-        (see docs/SCALING.md for the derivation).
+        model behind :meth:`check_budget` (see docs/SCALING.md for the
+        derivation).
         """
         rows = self.manifest.n_hosts[index]
         return rows * _ROW_BYTES \
             + rows * _OBS_ROW_BYTES * n_origins * n_trials
+
+    def check_budget(self, n_origins: int, n_trials: int,
+                     budget: Optional[int] = None) -> None:
+        """Raise :class:`MemoryBudgetError` — before any memory is
+        committed — unless every shard's modelled footprint fits
+        ``budget`` (default ``REPRO_MEMORY_BUDGET``)."""
+        limit = memory_budget(budget)
+        for index in range(self.n_shards):
+            footprint = self.shard_footprint(index, n_origins, n_trials)
+            if footprint + _BASE_OVERHEAD > limit:
+                raise MemoryBudgetError(
+                    f"shard {index} needs ~{footprint // 2 ** 20} MiB "
+                    f"(+{_BASE_OVERHEAD // 2 ** 20} MiB base) against a "
+                    f"{limit // 2 ** 20} MiB budget; rebuild with more "
+                    f"shards (smaller max_hosts) or raise "
+                    f"{ENV_MEMORY_BUDGET}")
 
 
 def build_sharded_world(specs: Sequence, seed: int,
@@ -330,29 +345,13 @@ def build_sharded_world(specs: Sequence, seed: int,
 # Streaming campaign execution
 # ----------------------------------------------------------------------
 
-def _empty_observation(protocol: str, trial: int,
-                       origin: str) -> Observation:
-    """A zero-row observation for a shard with no hosts of a protocol."""
-    return Observation(
-        protocol=protocol, trial=trial, origin=origin,
-        ip=np.zeros(0, dtype=np.uint32),
-        as_index=np.zeros(0, dtype=np.int64),
-        country_index=np.zeros(0, dtype=np.int64),
-        geo_index=np.zeros(0, dtype=np.int64),
-        probe_mask=np.zeros(0, dtype=np.uint8),
-        l7=np.zeros(0, dtype=np.uint8),
-        time=np.zeros(0, dtype=np.float32))
-
-
-def run_sharded_campaign(sharded: ShardedWorld,
+def run_sharded_campaign(sharded: Union[ShardedWorld, World],
                          origins: Sequence[Origin],
                          zmap: ZMapConfig,
                          protocols: Sequence[str] = PROTOCOLS,
                          n_trials: int = 3,
                          executor=None,
                          workers: Optional[int] = None,
-                         planned: bool = True,
-                         batch: Optional[bool] = None,
                          budget: Optional[int] = None,
                          collect: bool = False,
                          origin_universe: Optional[Sequence[str]] = None,
@@ -360,249 +359,55 @@ def run_sharded_campaign(sharded: ShardedWorld,
                          plane_extra=None,
                          plane_dir=None,
                          telemetry=None):
-    """Stream the full campaign grid shard-by-shard under a memory budget.
+    """Stream the full campaign grid shard-by-shard into bit planes.
 
-    Schedules the (protocol × trial × origin) jobs of one shard at a
-    time through an ordinary executor backend
-    (:func:`repro.sim.executor.make_executor`) and reduces each shard's
-    stacked trial tables into :class:`~repro.core.streaming` plane
-    accumulators before the next shard loads, so peak memory is one
-    shard's footprint plus the accumulators — independent of world
-    size.  Shards whose modelled footprint exceeds ``budget``
-    (default ``REPRO_MEMORY_BUDGET``) raise :class:`MemoryBudgetError`
-    with a re-sharding hint *before* any memory is committed.
+    Runs the (protocol × trial × origin) grid one shard at a time through
+    an ordinary executor backend (:func:`repro.sim.executor.make_executor`)
+    with the kernel in *plane-only* mode: it emits
+    :class:`~repro.sim.batch.PlaneSlice` columns that stream straight
+    into packed bit-plane accumulators before the next shard loads, so
+    peak memory is one shard's footprint plus the accumulators —
+    independent of world size.  Shards whose modelled footprint exceeds
+    ``budget`` (default ``REPRO_MEMORY_BUDGET``) raise
+    :class:`MemoryBudgetError` with a re-sharding hint *before* any
+    memory is committed.  A plain :class:`~repro.sim.world.World` streams
+    as its own single shard.
 
-    ``batch`` selects fused trial-batch jobs (default on, see
-    :mod:`repro.sim.batch`): each shard schedules one job per
-    (protocol, origin) covering its whole trial axis.  Without
-    ``collect`` the batched jobs run in *plane-only* mode — the kernel
-    emits :class:`~repro.sim.batch.PlaneSlice` columns that stream
-    straight into the packed bit-plane accumulators, skipping
-    per-cell ``Observation``/``TrialData`` materialization entirely.
-    Accumulated planes and analyses are byte-identical either way.
-
-    In plane-only mode every (protocol, origin, shard, trial) unit is
-    probed against the plane cache (:mod:`repro.serve.planecache`)
-    before dispatch, so a warm re-run with one new origin recomputes
-    only that origin's batches; ``plane_cache=False`` (or
-    ``REPRO_PLANE_CACHE=0``) forces the non-incremental reference
-    path.  ``origin_universe`` pins the origin-name list that shared
-    outage draws see, letting origin *subsets* reuse units computed
-    under the full scenario universe.
+    Every (protocol, origin, shard, trial) unit is probed against the
+    plane cache (:mod:`repro.serve.planecache`) before dispatch, so a
+    warm re-run with one new origin recomputes only that origin's
+    batches; ``plane_cache=False`` (or ``REPRO_PLANE_CACHE=0``) forces
+    the non-incremental reference path.  ``origin_universe`` pins the
+    origin-name list that shared outage draws see, letting origin
+    *subsets* reuse units computed under the full scenario universe.
+    ``telemetry`` works as in :func:`repro.sim.campaign.run_campaign`.
 
     Returns a :class:`~repro.core.streaming.StreamingCampaignResult`;
-    with ``collect=True`` returns ``(result, dataset)`` where
-    ``dataset`` is the fully materialized
-    :class:`~repro.core.dataset.CampaignDataset` — byte-identical to
-    ``run_campaign`` on the monolithic world, and only sensible at
-    small scale (it is exactly the memory the streaming path avoids).
+    with ``collect=True`` returns ``(result, dataset)`` where ``dataset``
+    is the fully materialized :class:`~repro.core.dataset.CampaignDataset`
+    — byte-identical to ``run_campaign`` on the monolithic world, and only
+    sensible at small scale (it is exactly the memory the streaming path
+    avoids) — and ``result`` is reduced from it.
     """
-    from repro.core.dataset import CampaignDataset, TrialData
-    from repro.sim.batch import batch_enabled
-    from repro.sim.campaign import build_observation_grid, \
-        build_trial_batches, _merge_plane_outputs, _probe_plane_units, \
-        _stack, _universe_names
-    from repro.sim.executor import make_executor
+    from repro.sim.campaign import _stream_campaign
 
-    tel = _telemetry()
-    if tel.enabled and getattr(tel, "trace_id", None) is None:
-        # Same mint-if-absent rule as run_campaign: a standalone sharded
-        # run starts its own trace, a serve-set request trace is kept.
-        from repro.telemetry.tracing import new_trace_id
-        tel.trace_id = new_trace_id()
-    limit = memory_budget(budget)
-    n_origins = len(origins)
-    for index in range(sharded.n_shards):
-        footprint = sharded.shard_footprint(index, n_origins, n_trials)
-        if footprint + _BASE_OVERHEAD > limit:
-            raise MemoryBudgetError(
-                f"shard {index} needs ~{footprint // 2 ** 20} MiB "
-                f"(+{_BASE_OVERHEAD // 2 ** 20} MiB base) against a "
-                f"{limit // 2 ** 20} MiB budget; rebuild with more "
-                f"shards (smaller max_hosts) or raise "
-                f"{ENV_MEMORY_BUDGET}")
-
-    batched = batch_enabled(batch, planned)
-    plane_only = batched and not collect
-    if batched:
-        jobs = build_trial_batches(origins, zmap, protocols, n_trials,
-                                   planned=planned, plane_only=plane_only,
-                                   origin_universe=origin_universe)
-    else:
-        jobs = build_observation_grid(origins, zmap, protocols, n_trials,
-                                      planned=planned,
-                                      origin_universe=origin_universe)
-    session = None
-    if plane_only:
-        from repro.serve import planecache
-        session = planecache.session_for(
-            sharded, zmap, _universe_names(origins, origin_universe),
-            n_shards=sharded.n_shards, enabled=plane_cache,
-            directory=plane_dir, extra=plane_extra)
-    backend = make_executor(executor, workers)
-    n_ases = len(sharded.topology.ases)
-    cells = [(protocol, trial) for protocol in protocols
-             for trial in range(n_trials)]
-
-    accumulators: Dict[Tuple[str, int], StreamingTrial] = {}
-    collected: Dict[Tuple[str, int], List[TrialData]] = {}
-    reports = []
-    with tel.span("shard.run_campaign", n_shards=sharded.n_shards,
-                  n_jobs=len(jobs) * sharded.n_shards,
-                  budget_bytes=limit, batch=batched,
-                  plane_only=plane_only):
-        for index in range(sharded.n_shards):
-            with tel.span("shard.stream", shard=index,
-                          rows=int(sharded.manifest.n_hosts[index])):
-                world = sharded.shard_world(index)
-                present = {p: len(world.hosts.for_protocol(p)) > 0
-                           for p in protocols}
-                live = [j for j in jobs if present[j.protocol]]
-                if session is not None:
-                    reduced, cached = _probe_plane_units(
-                        live,
-                        lambda job, trial: session.probe(
-                            job.protocol, job.origin.name, trial,
-                            shard_index=index))
-                else:
-                    reduced, cached = live, {}
-                if reduced:
-                    observations, report = backend.run_grid(world, reduced)
-                    reports.append(report)
-                    by_index = dict(zip((j.index for j in reduced),
-                                        observations))
-                else:
-                    by_index = {}
-                if session is not None:
-                    # Per-job outputs, cache hits and fresh planes merged
-                    # back into job-trial order; fresh units persist as
-                    # they stream through.
-                    by_index = _merge_plane_outputs(
-                        live, by_index, cached,
-                        store=lambda job, trial, plane: session.store(
-                            job.protocol, job.origin.name, trial, plane,
-                            shard_index=index))
-                # One (origin name, output-or-None) list per cell; batch
-                # jobs iterate origins in campaign order per protocol,
-                # recovering exactly the per-cell grid's origin order.
-                by_cell: Dict[Tuple[str, int], List] = {}
-                if batched:
-                    for job in jobs:
-                        outputs = by_index.get(job.index)
-                        for k, trial in enumerate(job.trials):
-                            by_cell.setdefault(
-                                (job.protocol, trial), []).append(
-                                (job.origin.name,
-                                 None if outputs is None else outputs[k]))
-                else:
-                    for job in jobs:
-                        by_cell.setdefault(
-                            (job.protocol, job.trial), []).append(
-                            (job.origin.name, by_index.get(job.index)))
-                for protocol, trial in cells:
-                    members = by_cell[(protocol, trial)]
-                    names = [name for name, _ in members]
-                    acc = accumulators.get((protocol, trial))
-                    if acc is None:
-                        acc = StreamingTrial(protocol=protocol,
-                                             trial=trial, n_ases=n_ases)
-                        accumulators[(protocol, trial)] = acc
-                    if plane_only:
-                        _reduce_planes(acc, names,
-                                       [s for _, s in members])
-                        continue
-                    obs = [o if o is not None else
-                           _empty_observation(protocol, trial, name)
-                           for name, o in members]
-                    table = _stack(protocol, trial, names, obs,
-                                   zmap.n_probes)
-                    acc.add_shard(table)
-                    if collect:
-                        collected.setdefault((protocol, trial),
-                                             []).append(table)
-                tel.count("shard.shards_processed", 1)
-                del world, by_index
-
-    metadata = _merge_metadata(sharded, zmap, origins, n_trials, reports)
-    metadata["batch"] = batched
-    if session is not None:
-        metadata["plane_cache"] = session.stats()
-    result = StreamingCampaignResult(accumulators, metadata=metadata)
+    run = dict(executor=executor, workers=workers, budget=budget,
+               origin_universe=origin_universe, telemetry=telemetry)
     if not collect:
-        return result
-    tables = [_concat_tables(parts)
-              for parts in collected.values()]
-    dataset = CampaignDataset(tables, metadata=dict(metadata))
+        return _stream_campaign(sharded, origins, zmap, protocols,
+                                n_trials, collect=False,
+                                plane_cache=plane_cache,
+                                plane_extra=plane_extra,
+                                plane_dir=plane_dir, **run)
+    dataset = _stream_campaign(sharded, origins, zmap, protocols,
+                               n_trials, collect=True, **run)
+    n_ases = len(sharded.topology.ases)
+    accumulators: Dict[Tuple[str, int], StreamingTrial] = {}
+    for table in dataset:
+        acc = StreamingTrial(protocol=table.protocol, trial=table.trial,
+                             n_ases=n_ases)
+        acc.add_shard(table)
+        accumulators[(table.protocol, table.trial)] = acc
+    result = StreamingCampaignResult(accumulators,
+                                     metadata=dict(dataset.metadata))
     return result, dataset
-
-
-def _reduce_planes(acc: StreamingTrial, names: List[str],
-                   slices: List) -> None:
-    """Stream one cell's plane slices into an accumulator.
-
-    ``slices`` holds one :class:`~repro.sim.batch.PlaneSlice` per origin
-    (campaign order), or ``None`` entries when the shard has no hosts of
-    the protocol (reduced as zero rows, mirroring the empty-observation
-    fill of the materialized path).
-    """
-    reference = next((s for s in slices if s is not None), None)
-    if reference is None:
-        acc.add_shard_planes(names, np.zeros(0, dtype=np.int64),
-                             np.zeros((len(names), 0), dtype=bool))
-        return
-    for plane_slice in slices:
-        if not np.array_equal(plane_slice.ip, reference.ip):
-            raise AssertionError(
-                "origins disagree on the scanned service set — churn or "
-                "blocklists are origin-dependent, which violates the "
-                "synchronized-campaign invariant")
-    acc.add_shard_planes(names, reference.as_index,
-                         np.stack([s.accessible for s in slices]))
-
-
-def _concat_tables(parts):
-    """Column-wise concatenation of one trial's per-shard tables."""
-    from repro.core.dataset import TrialData
-
-    first = next(p for p in parts)
-    return TrialData(
-        protocol=first.protocol, trial=first.trial,
-        origins=list(first.origins),
-        ip=np.concatenate([p.ip for p in parts]),
-        as_index=np.concatenate([p.as_index for p in parts]),
-        country_index=np.concatenate([p.country_index for p in parts]),
-        geo_index=np.concatenate([p.geo_index for p in parts]),
-        probe_mask=np.concatenate([p.probe_mask for p in parts], axis=1),
-        l7=np.concatenate([p.l7 for p in parts], axis=1),
-        time=np.concatenate([p.time for p in parts], axis=1),
-        n_probes=first.n_probes)
-
-
-def _merge_metadata(sharded: ShardedWorld, zmap: ZMapConfig,
-                    origins: Sequence[Origin], n_trials: int,
-                    reports) -> dict:
-    """Campaign-style metadata folding every per-shard execution report."""
-    execution: Dict[str, object] = {}
-    if reports:
-        execution = {
-            "backend": reports[0].backend,
-            "workers": reports[0].workers,
-            "n_jobs": sum(r.n_jobs for r in reports),
-            "wall_s": round(sum(r.wall_s for r in reports), 6),
-            "busy_s": round(sum(r.busy_s for r in reports), 6),
-            "n_shards": len(reports),
-        }
-        peaks = [r.peak_rss_bytes for r in reports if r.peak_rss_bytes]
-        if peaks:
-            execution["peak_rss_bytes"] = max(peaks)
-    return {
-        "seed": zmap.seed,
-        "n_probes": zmap.n_probes,
-        "probe_spacing_s": zmap.probe_spacing_s,
-        "pps": zmap.pps,
-        "scan_duration_s": zmap.scan_duration_s,
-        "origins": [o.name for o in origins],
-        "n_trials": n_trials,
-        "sharded": sharded.manifest.to_meta(),
-        "execution": execution,
-    }

@@ -16,17 +16,20 @@ Evaluation order per probe follows the life of a packet:
 4. path: burst outages, then the correlated loss channel,
 5. L7: temporal RST blocking, MaxStartups refusal, persistent L7-dead
    hosts, transient flakiness — first matching behaviour wins.
+
+The evaluation itself is :func:`repro.sim.batch.observe_trial_batch`;
+this module holds the world's models, the per-AS parameter tables and
+the cached host state and plans that kernel reads.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Dict, Optional, Tuple, Union
+from typing import Dict, Optional, Tuple
 
 import numpy as np
 
-from repro.blocking.firewall import (coverage_stream_key, covered_hosts_mask,
-                                     covered_hosts_mask_keyed)
+from repro.blocking.firewall import coverage_stream_key
 from repro.blocking.flaky import L7FlakyModel, L7FlakySpec
 from repro.blocking.ids import RateIDS
 from repro.blocking.maxstartups import MaxStartupsModel, MaxStartupsSpec
@@ -34,7 +37,6 @@ from repro.blocking.temporal import TemporalRSTBlocker
 from repro.conditions.loss import LossDraw, PathLossModel, PathLossSpec
 from repro.conditions.outages import BurstOutageModel, BurstOutageSpec
 from repro.core.bits import popcount_u8
-from repro.core.records import L7Status
 from repro.hosts.churn import ChurnModel, ChurnSpec
 from repro.hosts.table import HostTable
 from repro.origins import Origin
@@ -42,8 +44,7 @@ from repro.rng import CounterRNG
 from repro.scanner.zmap import ZMapConfig, ZMapScanner
 from repro.sim.plan import (ASGrouping, CompiledOriginPolicy, HostCaches,
                             IDSEntry, ObservationPlan, ObserveProfile,
-                            PolicyEntry, _StageTimer,
-                            sorted_membership_mask)
+                            PolicyEntry)
 from repro.telemetry.context import current as _telemetry
 from repro.topology.generator import Topology
 
@@ -118,7 +119,8 @@ class World:
         self._flaky = L7FlakyModel(root)
         self._loss_models: Dict[str, PathLossModel] = {}
         self._loss_params: Dict[str, Tuple[np.ndarray, ...]] = {}
-        self._outage_model: Optional[BurstOutageModel] = None
+        self._outage_models: Dict[Tuple[Tuple[str, ...], float],
+                                  BurstOutageModel] = {}
         self._outage_specs: Optional[Dict[int, BurstOutageSpec]] = None
         self._flaky_params: Optional[Tuple[np.ndarray, ...]] = None
         self._maxstartups_params: Optional[Tuple[np.ndarray, ...]] = None
@@ -171,10 +173,18 @@ class World:
 
     def _outages(self, origins: Tuple[str, ...],
                  scan_duration_s: float) -> BurstOutageModel:
-        if self._outage_model is None:
-            self._outage_model = BurstOutageModel(
-                self._rng, origins, scan_duration_s)
-        return self._outage_model
+        """The shared burst-outage model of one origin universe.
+
+        Memoized by *both* inputs: outage windows are drawn against the
+        full origin list and the scan duration, so a world observed under
+        another universe or schedule needs its own model.
+        """
+        key = (tuple(origins), float(scan_duration_s))
+        model = self._outage_models.get(key)
+        if model is None:
+            model = BurstOutageModel(self._rng, origins, scan_duration_s)
+            self._outage_models[key] = model
+        return model
 
     def outage_specs(self) -> Dict[int, BurstOutageSpec]:
         if self._outage_specs is None:
@@ -221,98 +231,6 @@ class World:
         return self._maxstartups_params
 
     # ------------------------------------------------------------------
-    # L4 static filtering
-    # ------------------------------------------------------------------
-
-    def _static_l4_masks(self, origin: Origin, trial: int,
-                         ips: np.ndarray, as_idx: np.ndarray
-                         ) -> Tuple[np.ndarray, np.ndarray]:
-        """(silent_block, l7_drop_block) for static policies.
-
-        ``silent_block`` suppresses SYN-ACKs entirely (firewall drop);
-        ``l7_drop_block`` lets TCP complete but drops the application
-        handshake (regional policies with ``responds_with_block_page``).
-        """
-        silent = np.zeros(ips.shape, dtype=bool)
-        l7_drop = np.zeros(ips.shape, dtype=bool)
-        host_ids = ips.astype(np.uint64)
-        for system in self.topology.ases:
-            spec = system.spec
-            members = None
-
-            def member_mask() -> np.ndarray:
-                nonlocal members
-                if members is None:
-                    members = as_idx == system.index
-                return members
-
-            fw = spec.reputation_firewall
-            if fw is not None and fw.blocks(origin):
-                m = member_mask()
-                if np.any(m):
-                    coverage = fw.coverage_in_trial(trial)
-                    covered = covered_hosts_mask(
-                        self._rng, host_ids[m], system.index, coverage,
-                        "reputation")
-                    silent[np.flatnonzero(m)[covered]] = True
-
-            sb = spec.static_block
-            if sb is not None and sb.blocks(origin):
-                m = member_mask()
-                if np.any(m):
-                    covered = covered_hosts_mask(
-                        self._rng, host_ids[m], system.index, sb.coverage,
-                        "static")
-                    silent[np.flatnonzero(m)[covered]] = True
-
-            rp = spec.regional_policy
-            if rp is not None and rp.blocks(origin):
-                m = member_mask()
-                if np.any(m):
-                    covered = covered_hosts_mask(
-                        self._rng, host_ids[m], system.index, rp.coverage,
-                        "regional")
-                    target = l7_drop if rp.responds_with_block_page \
-                        else silent
-                    target[np.flatnonzero(m)[covered]] = True
-        return silent, l7_drop
-
-    def _ids_block_mask(self, origin: Origin, trial: int, first_trial: int,
-                        protocol: str, as_idx: np.ndarray,
-                        times: np.ndarray, ips: np.ndarray,
-                        scanner: ZMapScanner) -> np.ndarray:
-        """Hosts whose network's rate IDS has blocked this origin."""
-        blocked = np.zeros(as_idx.shape, dtype=bool)
-        host_ids = ips.astype(np.uint64)
-        for system in self.topology.ases:
-            spec = system.spec.rate_ids
-            if spec is None:
-                continue
-            members = as_idx == system.index
-            if not np.any(members):
-                continue
-            rate = scanner.probes_into_as_per_second(
-                system.total_addresses(), origin)
-            detect = self._ids.detection_time(
-                spec, origin, system.index, rate, protocol)
-            if detect is None:
-                continue
-            idx = np.flatnonzero(members)
-            if trial > first_trial and spec.persistent:
-                hit = np.ones(idx.shape, dtype=bool)
-            elif trial == first_trial:
-                hit = times[idx] >= detect
-            else:
-                continue
-            if spec.coverage < 1.0:
-                covered = covered_hosts_mask(
-                    self._rng, host_ids[idx], system.index, spec.coverage,
-                    "ids")
-                hit &= covered
-            blocked[idx[hit]] = True
-        return blocked
-
-    # ------------------------------------------------------------------
     # Compiled observation plans
     # ------------------------------------------------------------------
 
@@ -320,16 +238,15 @@ class World:
         """The compiled observation plan for one (protocol, scanner config).
 
         Built once and cached on the world; reused across every trial and
-        origin that observes with an equal scanner configuration.  Plans
-        are pure acceleration: a planned observation is byte-identical to
-        an unplanned one (``plan=False``).  A mutated GeoIP database
-        invalidates cached plans automatically; scanner configurations are
-        immutable value objects, so they key the cache directly.
+        origin that observes with an equal scanner configuration.  A plan
+        holds only scanner-dependent state (eligibility, schedule, origin
+        policies); scanner configurations are immutable value objects, so
+        they key the cache directly.
         """
         tel = _telemetry()
         key = (protocol, scanner.config)
         plan = self._plans.get(key)
-        if plan is not None and plan.geo_version == self.topology.geoip.version:
+        if plan is not None:
             if tel.enabled:
                 tel.count("cache.plan_hit", 1, protocol=protocol)
             return plan
@@ -419,31 +336,11 @@ class World:
 
     def _compile_plan(self, protocol: str,
                       scanner: ZMapScanner) -> ObservationPlan:
-        caches = self.host_caches(protocol)
-        view = self.hosts.for_protocol(protocol)
-        ips = view.ip
-
+        ips = self.hosts.for_protocol(protocol).ip
         return ObservationPlan(
             protocol=protocol,
-            n_view=caches.n_view,
-            n_ases=caches.n_ases,
-            geo_version=caches.geo_version,
-            grouping=caches.grouping,
-            geo_full=caches.geo_full,
-            host_ids_full=caches.host_ids_full,
             eligible_full=scanner.eligible_mask(ips),
-            base_first_full=scanner.first_probe_times(ips),
-            stable_full=caches.stable_full,
-            dead_full=caches.dead_full,
-            flaky_full=caches.flaky_full,
-            drop_full=caches.drop_full,
-            ms_affected_full=caches.ms_affected_full,
-            ms_probs_full=caches.ms_probs_full,
-            ms_style_full=caches.ms_style_full,
-            static_systems=caches.static_systems,
-            ids_systems=caches.ids_systems,
-            temporal_systems=caches.temporal_systems,
-            persist_u=caches.persist_u)
+            base_first_full=scanner.first_probe_times(ips))
 
     def _origin_policy(self, plan: ObservationPlan, origin: Origin,
                        scanner: ZMapScanner) -> CompiledOriginPolicy:
@@ -452,8 +349,9 @@ class World:
         if policy is not None:
             return policy
 
+        caches = self.host_caches(plan.protocol)
         static_entries = []
-        for i in plan.static_systems:
+        for i in caches.static_systems:
             spec = self.topology.ases.by_index(i).spec
             fw = spec.reputation_firewall
             if fw is not None and fw.blocks(origin):
@@ -487,7 +385,7 @@ class World:
                     cause="regional"))
 
         ids_entries = []
-        for i in plan.ids_systems:
+        for i in caches.ids_systems:
             system = self.topology.ases.by_index(i)
             spec = system.spec.rate_ids
             rate = scanner.probes_into_as_per_second(
@@ -516,7 +414,6 @@ class World:
                 scanner: ZMapScanner, all_origin_names: Tuple[str, ...],
                 first_trial: int = 0,
                 targets: Optional[np.ndarray] = None,
-                plan: Union[ObservationPlan, bool, None] = None,
                 profile: Optional[ObserveProfile] = None) -> Observation:
         """Everything ``origin`` records for one protocol in one trial.
 
@@ -531,461 +428,18 @@ class World:
         would (tested invariant), so targeted re-scans are consistent
         with campaign data.
 
-        ``plan`` selects the evaluation path: ``None`` (default) fetches or
-        builds the compiled :class:`~repro.sim.plan.ObservationPlan` for
-        this (protocol, scanner config); an explicit plan is used as-is;
-        ``False`` forces the unplanned reference path.  The two paths are
-        byte-identical in every Observation field.  ``profile`` (planned
-        path only) receives per-stage wall times for this call in addition
-        to the plan's cumulative profile.
-
-        When a telemetry context is active (:mod:`repro.telemetry`), every
-        call emits an ``observe`` span (with ``observe.<stage>`` children
-        on the planned path) plus probe/blocking counters; with telemetry
-        disabled — the default — the only cost is one contextvar read.
-        Telemetry never perturbs results: observations are byte-identical
-        with and without it.
+        This is a one-trial call of the simulator's single observation
+        kernel, :func:`repro.sim.batch.observe_trial_batch`, so it emits
+        that kernel's telemetry (a ``batch.stream`` span with
+        ``observe.batched.<stage>`` children, plus the ``observe.*``
+        counters) and fills ``profile`` with its per-stage wall times.
+        Telemetry never perturbs results.
         """
-        tel = _telemetry()
-        if tel.enabled:
-            with tel.span("observe", protocol=protocol, trial=trial,
-                          origin=origin.name,
-                          planned=plan is not False) as obs_span:
-                observation = self._observe(
-                    protocol, trial, origin, scanner, all_origin_names,
-                    first_trial, targets, plan, profile)
-                n = len(observation)
-                obs_span.set(n_services=n)
-                tel.count("observe.calls", 1,
-                          protocol=protocol, origin=origin.name)
-                tel.count("observe.services", n,
-                          protocol=protocol, origin=origin.name)
-                tel.count("observe.probes_sent",
-                          n * scanner.config.n_probes,
-                          protocol=protocol, origin=origin.name)
-                tel.observe_value("observe.services_per_call", n,
-                                  protocol=protocol)
-                return observation
-        return self._observe(protocol, trial, origin, scanner,
-                             all_origin_names, first_trial, targets, plan,
-                             profile)
+        from repro.sim.batch import observe_trial_batch
 
-    def _observe(self, protocol: str, trial: int, origin: Origin,
-                 scanner: ZMapScanner, all_origin_names: Tuple[str, ...],
-                 first_trial: int, targets: Optional[np.ndarray],
-                 plan: Union[ObservationPlan, bool, None],
-                 profile: Optional[ObserveProfile]) -> Observation:
-        """Dispatch to the planned or unplanned evaluation path."""
-        if plan is not False:
-            if plan is None:
-                plan = self.plan(protocol, scanner)
-            elif plan.protocol != protocol:
-                raise ValueError(
-                    f"plan was compiled for protocol {plan.protocol!r}, "
-                    f"not {protocol!r}")
-            return self._observe_planned(
-                plan, protocol, trial, origin, scanner, all_origin_names,
-                first_trial, targets, profile)
-        return self._observe_unplanned(
-            protocol, trial, origin, scanner, all_origin_names,
-            first_trial, targets)
-
-    def _observe_unplanned(self, protocol: str, trial: int, origin: Origin,
-                           scanner: ZMapScanner,
-                           all_origin_names: Tuple[str, ...],
-                           first_trial: int = 0,
-                           targets: Optional[np.ndarray] = None
-                           ) -> Observation:
-        """Reference evaluation path (no cross-call caching).
-
-        Kept deliberately close to the straightforward formulation: the
-        differential suite (``tests/test_plan_equivalence.py``) checks the
-        planned path against this one field-by-field.
-        """
-        view = self.hosts.for_protocol(protocol)
-        present = self.churn.present_mask(view.ip, protocol, trial)
-        eligible = scanner.eligible_mask(view.ip)
-        wanted = present & eligible
-        if targets is not None:
-            # view.ip is sorted (the host table lexsorts by address), so
-            # membership is a binary search, not np.isin's sort-per-call.
-            wanted &= sorted_membership_mask(view.ip, targets)
-        keep = np.flatnonzero(wanted)
-
-        ips = view.ip[keep]
-        as_idx = view.as_index[keep]
-        country_idx = view.country_index[keep]
-        geo_idx = self.topology.geoip.geolocate_index_array(ips)
-        host_ids = ips.astype(np.uint64)
-        n = len(ips)
-        n_probes = scanner.config.n_probes
-
-        probe_times = scanner.probe_times(ips, origin)
-        first_times = probe_times[0]
-
-        # --- L4 static filtering -------------------------------------
-        silent_block, l7_drop_block = self._static_l4_masks(
-            origin, trial, ips, as_idx)
-        ids_block = self._ids_block_mask(
-            origin, trial, first_trial, protocol, as_idx, first_times, ips,
-            scanner)
-        l4_filtered = silent_block | ids_block
-
-        # --- Path: outages + correlated loss --------------------------
-        loss = self.loss_model(origin)
-        epoch, random_, persistent, variability = \
-            self._loss_param_arrays(origin)
-        effective_epoch = loss.trial_epoch_rates(
-            epoch[as_idx], variability[as_idx], as_idx, trial)
-        persist_u = loss.persistent_draws(host_ids)
-
-        outages = self._outages(all_origin_names,
-                                scanner.config.scan_duration_s)
-        outage_specs = self.outage_specs()
-
-        probe_mask = np.zeros(n, dtype=np.uint8)
-        for probe_no in range(n_probes):
-            times_k = probe_times[probe_no]
-            delivered = loss.probe_delivered(
-                host_ids, as_idx, times_k, trial, probe_no,
-                effective_epoch, random_[as_idx], persistent[as_idx],
-                persist_u=persist_u)
-            outage_lost = outages.lost_mask(
-                origin.name, trial, as_idx, times_k, outage_specs)
-            ok = delivered & ~outage_lost & ~l4_filtered
-            probe_mask |= ok.astype(np.uint8) << np.uint8(probe_no)
-
-        # Unstable (churning) services intermittently fail to answer even
-        # while present; this is the raw material of the paper's "unknown"
-        # classification bucket.
-        if self.defaults.churner_wobble > 0.0:
-            churners = self.churn.churner_mask(ips, protocol)
-            wobble = self._rng.derive("wobble").bernoulli_array(
-                self.defaults.churner_wobble, host_ids,
-                protocol, origin.name, trial)
-            probe_mask[churners & wobble] = 0
-
-        l4_success = probe_mask > 0
-
-        # --- L7 evaluation --------------------------------------------
-        l7 = np.full(n, int(L7Status.NO_L4), dtype=np.uint8)
-        l7[l4_success] = int(L7Status.SUCCESS)
-
-        # Regional block pages: TCP completes, handshake is dropped.
-        drop_page = l4_success & l7_drop_block
-        l7[drop_page] = int(L7Status.L4_DROP)
-
-        # Temporal network-wide RST blocking (Alibaba, SSH).
-        for system in self.topology.ases:
-            spec = system.spec.temporal_rst
-            if spec is None or protocol not in spec.protocols:
-                continue
-            members = l4_success & (as_idx == system.index)
-            if not np.any(members):
-                continue
-            detect = self._temporal.detection_time(
-                spec, origin, system.index, trial, protocol,
-                scanner.config.scan_duration_s)
-            if detect is None:
-                continue
-            idx = np.flatnonzero(members)
-            hit = first_times[idx] >= detect
-            l7[idx[hit]] = int(L7Status.L4_CLOSE_RST)
-
-        # MaxStartups probabilistic refusal (SSH).
-        if protocol == "ssh":
-            ms_fraction, ms_mean, ms_spread, ms_solo = \
-                self._maxstartups_param_arrays()
-            candidates = l7 == int(L7Status.SUCCESS)
-            idx = np.flatnonzero(candidates)
-            if len(idx):
-                refused = self._maxstartups.refused_mask_params(
-                    ms_fraction[as_idx[idx]], ms_mean[as_idx[idx]],
-                    ms_spread[as_idx[idx]], ms_solo[as_idx[idx]],
-                    host_ids[idx], origin.name, trial)
-                # sshd closes the socket; roughly half the observations in
-                # the paper are RST, half FIN-ACK.
-                style_rst = self._rng.derive("ms-style").bernoulli_array(
-                    0.5, host_ids[idx])
-                close = np.where(style_rst, int(L7Status.L4_CLOSE_RST),
-                                 int(L7Status.L4_CLOSE_FIN))
-                l7[idx[refused]] = close[refused]
-
-        # Persistent L7-dead hosts and transient flakiness.
-        flaky_f, fail_p, drop_s, dead_f = self._flaky_param_arrays()
-        still_ok = l7 == int(L7Status.SUCCESS)
-        dead = self._flaky.dead_mask_params(
-            dead_f[as_idx], host_ids, protocol)
-        l7[still_ok & dead] = int(L7Status.L4_DROP)
-
-        still_ok = l7 == int(L7Status.SUCCESS)
-        fails, drops = self._flaky.failure_masks_params(
-            flaky_f[as_idx], fail_p[as_idx], drop_s[as_idx],
-            host_ids, protocol, origin.name, trial)
-        l7[still_ok & fails & drops] = int(L7Status.L4_DROP)
-        l7[still_ok & fails & ~drops] = int(L7Status.L4_CLOSE_FIN)
-
-        return Observation(
-            protocol=protocol, trial=trial, origin=origin.name,
-            ip=ips, as_index=as_idx, country_index=country_idx,
-            geo_index=geo_idx, probe_mask=probe_mask, l7=l7,
-            time=first_times.astype(np.float32))
-
-    def _observe_planned(self, plan: ObservationPlan, protocol: str,
-                         trial: int, origin: Origin, scanner: ZMapScanner,
-                         all_origin_names: Tuple[str, ...],
-                         first_trial: int, targets: Optional[np.ndarray],
-                         profile: Optional[ObserveProfile]) -> Observation:
-        """Fast path over a compiled plan (byte-identical to unplanned).
-
-        Every cached array is a full-view evaluation of the same pure,
-        counter-addressed draw the unplanned path makes on the kept
-        subset, so slicing by ``keep`` reproduces the subset draws
-        exactly; AS membership comes from the plan's CSR grouping instead
-        of ``as_idx == i`` scans.
-        """
-        tel = _telemetry()
-        timer = _StageTimer(plan.profile, profile, tel=tel)
-        view = self.hosts.for_protocol(protocol)
-        present = self.churn.present_mask(view.ip, protocol, trial,
-                                          stable=plan.stable_full)
-        wanted = present & plan.eligible_full
-        if targets is not None:
-            wanted &= sorted_membership_mask(view.ip, targets)
-        keep = np.flatnonzero(wanted)
-
-        ips = view.ip[keep]
-        as_idx = view.as_index[keep]
-        country_idx = view.country_index[keep]
-        geo_idx = plan.geo_full[keep]
-        host_ids = plan.host_ids_full[keep]
-        n = len(ips)
-        n_probes = scanner.config.n_probes
-        position_of_row = plan.position_of_row(keep)
-        timer.stamp("filter")
-
-        first_times = plan.base_first_full[keep]
-        if origin.drift:
-            first_times = first_times * (1.0 + origin.drift)
-        probe_offsets = (np.arange(n_probes, dtype=np.float64)
-                         * scanner.config.probe_spacing_s)
-        timer.stamp("schedule")
-
-        # --- L4 static filtering (compiled policy entries) ------------
-        policy = self._origin_policy(plan, origin, scanner)
-        silent_block = np.zeros(n, dtype=bool)
-        l7_drop_block = np.zeros(n, dtype=bool)
-        if policy.static_entries:
-            pos_parts, key_parts, cov_parts, drop_parts = [], [], [], []
-            entry_parts = []
-            for entry in policy.static_entries:
-                pos = plan.grouping.members_in(entry.as_index,
-                                               position_of_row)
-                if len(pos) == 0:
-                    continue
-                pos_parts.append(pos)
-                entry_parts.append(entry)
-                key_parts.append(np.full(len(pos), entry.stream_key,
-                                         dtype=np.uint64))
-                cov_parts.append(np.full(len(pos),
-                                         entry.coverage_in_trial(trial)))
-                drop_parts.append(np.full(len(pos), entry.to_l7_drop,
-                                          dtype=bool))
-            if pos_parts:
-                pos_all = np.concatenate(pos_parts)
-                covered = covered_hosts_mask_keyed(
-                    np.concatenate(key_parts), host_ids[pos_all],
-                    np.concatenate(cov_parts))
-                to_drop = np.concatenate(drop_parts)
-                silent_block[pos_all[covered & ~to_drop]] = True
-                l7_drop_block[pos_all[covered & to_drop]] = True
-                if tel.enabled:
-                    # Per-cause attribution in three vectorized ops (a
-                    # per-entry slice-sum loop would dominate the
-                    # enabled-path overhead at paper scale).
-                    causes = sorted({e.cause for e in entry_parts})
-                    code_of = {c: i for i, c in enumerate(causes)}
-                    codes = np.repeat(
-                        np.array([code_of[e.cause] for e in entry_parts]),
-                        [len(p) for p in pos_parts])
-                    hits = np.bincount(codes[covered],
-                                       minlength=len(causes))
-                    for cause, hit in zip(causes, hits):
-                        if hit:
-                            tel.count("observe.hosts_blocked", int(hit),
-                                      cause=cause, protocol=protocol,
-                                      origin=origin.name)
-        timer.stamp("l4_static")
-
-        ids_block = np.zeros(n, dtype=bool)
-        for entry in policy.ids_entries:
-            pos = plan.grouping.members_in(entry.as_index, position_of_row)
-            if len(pos) == 0:
-                continue
-            if trial > first_trial and entry.persistent:
-                hit = np.ones(len(pos), dtype=bool)
-            elif trial == first_trial:
-                hit = first_times[pos] >= entry.detection_time
-            else:
-                continue
-            if entry.coverage < 1.0:
-                hit &= covered_hosts_mask_keyed(
-                    np.full(len(pos), entry.stream_key, dtype=np.uint64),
-                    host_ids[pos], np.full(len(pos), entry.coverage))
-            ids_block[pos[hit]] = True
-            if tel.enabled and hit.any():
-                tel.count("observe.hosts_blocked", int(hit.sum()),
-                          cause="ids", protocol=protocol,
-                          origin=origin.name)
-        l4_filtered = silent_block | ids_block
-        timer.stamp("l4_ids")
-
-        # --- Path: outages + correlated loss --------------------------
-        loss = self.loss_model(origin)
-        epoch, random_, persistent, variability = \
-            self._loss_param_arrays(origin)
-        # Per-AS rates, gathered by membership: the draw is elementwise in
-        # the AS value, so evaluating once per AS and gathering matches
-        # the per-host evaluation bit-for-bit.
-        rates_by_as = loss.trial_epoch_rates(
-            epoch, variability, np.arange(plan.n_ases, dtype=np.int64),
-            trial)
-        effective_epoch = rates_by_as[as_idx]
-        persist_full = plan.persist_u.get(origin.name)
-        if persist_full is None:
-            persist_full = loss.persistent_draws(plan.host_ids_full)
-            plan.persist_u[origin.name] = persist_full
-        persist_u = persist_full[keep]
-        random_rates = random_[as_idx]
-        persistent_fracs = persistent[as_idx]
-
-        outages = self._outages(all_origin_names,
-                                scanner.config.scan_duration_s)
-        active = outages.active_windows(origin.name, trial,
-                                        self.outage_specs())
-        active_members = []
-        for as_index, windows in active.items():
-            pos = plan.grouping.members_in(as_index, position_of_row)
-            if len(pos):
-                active_members.append((pos, windows))
-
-        probe_mask = np.zeros(n, dtype=np.uint8)
-        epoch_memo: dict = {}
-        probes_lost = 0
-        outage_lost = 0
-        for probe_no in range(n_probes):
-            times_k = first_times + probe_offsets[probe_no]
-            delivered = loss.probe_delivered(
-                host_ids, as_idx, times_k, trial, probe_no,
-                effective_epoch, random_rates, persistent_fracs,
-                persist_u=persist_u, epoch_memo=epoch_memo)
-            if tel.enabled:
-                probes_lost += n - int(delivered.sum())
-            ok = delivered & ~l4_filtered
-            # Outage accounting as a per-probe delta (one reduction per
-            # probe, not one per affected AS — there can be hundreds).
-            before_outages = int(ok.sum()) \
-                if tel.enabled and active_members else 0
-            for pos, windows in active_members:
-                member_times = times_k[pos]
-                hit = np.zeros(len(pos), dtype=bool)
-                for start, end in windows:
-                    hit |= (member_times >= start) & (member_times < end)
-                ok[pos[hit]] = False
-            if tel.enabled and active_members:
-                outage_lost += before_outages - int(ok.sum())
-            probe_mask |= ok.astype(np.uint8) << np.uint8(probe_no)
-
-        wobbled = 0
-        if self.defaults.churner_wobble > 0.0:
-            churners = ~plan.stable_full[keep]
-            wobble = self._rng.derive("wobble").bernoulli_array(
-                self.defaults.churner_wobble, host_ids,
-                protocol, origin.name, trial)
-            zeroed = churners & wobble
-            probe_mask[zeroed] = 0
-            if tel.enabled:
-                wobbled = int(zeroed.sum())
-        if tel.enabled:
-            # One correlated-loss evaluation per (host, distinct epoch
-            # pattern): the per-/24-style shared-fate draw volume.
-            tel.count("observe.loss_draws", len(epoch_memo) * n,
-                      protocol=protocol, origin=origin.name)
-            tel.count("observe.probes_lost", probes_lost,
-                      protocol=protocol, origin=origin.name)
-            if outage_lost:
-                tel.count("observe.probes_outage_lost", outage_lost,
-                          protocol=protocol, origin=origin.name)
-            if wobbled:
-                tel.count("observe.hosts_wobbled", wobbled,
-                          protocol=protocol, origin=origin.name)
-        timer.stamp("path")
-
-        l4_success = probe_mask > 0
-
-        # --- L7 evaluation --------------------------------------------
-        l7 = np.full(n, int(L7Status.NO_L4), dtype=np.uint8)
-        l7[l4_success] = int(L7Status.SUCCESS)
-
-        drop_page = l4_success & l7_drop_block
-        l7[drop_page] = int(L7Status.L4_DROP)
-
-        for i in plan.temporal_systems:
-            pos = plan.grouping.members_in(i, position_of_row)
-            if len(pos) == 0:
-                continue
-            pos = pos[l4_success[pos]]
-            if len(pos) == 0:
-                continue
-            spec = self.topology.ases.by_index(i).spec.temporal_rst
-            detect = self._temporal.detection_time(
-                spec, origin, i, trial, protocol,
-                scanner.config.scan_duration_s)
-            if detect is None:
-                continue
-            hit = first_times[pos] >= detect
-            l7[pos[hit]] = int(L7Status.L4_CLOSE_RST)
-            if tel.enabled and hit.any():
-                tel.count("observe.hosts_blocked", int(hit.sum()),
-                          cause="temporal_rst", protocol=protocol,
-                          origin=origin.name)
-
-        if protocol == "ssh":
-            candidates = l7 == int(L7Status.SUCCESS)
-            idx = np.flatnonzero(candidates)
-            if len(idx):
-                rows = keep[idx]
-                refused = plan.ms_affected_full[rows] \
-                    & (self._maxstartups.refusal_uniforms(
-                        host_ids[idx], origin.name, trial)
-                       < plan.ms_probs_full[rows])
-                close = np.where(plan.ms_style_full[rows],
-                                 int(L7Status.L4_CLOSE_RST),
-                                 int(L7Status.L4_CLOSE_FIN))
-                l7[idx[refused]] = close[refused]
-                if tel.enabled and refused.any():
-                    tel.count("observe.hosts_blocked", int(refused.sum()),
-                              cause="maxstartups", protocol=protocol,
-                              origin=origin.name)
-
-        _, fail_p, _, _ = self._flaky_param_arrays()
-        still_ok = l7 == int(L7Status.SUCCESS)
-        l7[still_ok & plan.dead_full[keep]] = int(L7Status.L4_DROP)
-
-        still_ok = l7 == int(L7Status.SUCCESS)
-        fails = plan.flaky_full[keep] & self._flaky.fail_mask_params(
-            fail_p[as_idx], host_ids, protocol, origin.name, trial)
-        drops = fails & plan.drop_full[keep]
-        l7[still_ok & fails & drops] = int(L7Status.L4_DROP)
-        l7[still_ok & fails & ~drops] = int(L7Status.L4_CLOSE_FIN)
-        timer.stamp("l7")
-        timer.finish(n)
-
-        return Observation(
-            protocol=protocol, trial=trial, origin=origin.name,
-            ip=ips, as_index=as_idx, country_index=country_idx,
-            geo_index=geo_idx, probe_mask=probe_mask, l7=l7,
-            time=first_times.astype(np.float32))
+        return observe_trial_batch(
+            self, protocol, origin, (trial,), (scanner,), all_origin_names,
+            first_trial=first_trial, targets=targets, profile=profile)[0]
 
     # ------------------------------------------------------------------
     # Targeted re-probing (the §6 retry experiment)

@@ -14,7 +14,7 @@ The disabled fast path is load-bearing: with no active telemetry,
 ``span()`` returns one shared re-entrant null context manager — no
 allocation, no clock reads.  The benchmark guard
 (``benchmarks/test_perf_telemetry.py``) holds instrumentation overhead on
-the planned observe path to ≤5 %, and that is only achievable because the
+the observe path to ≤5 %, and that is only achievable because the
 default path does essentially nothing.
 
 Context propagation across workers is explicit, not ambient: each

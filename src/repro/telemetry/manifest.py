@@ -66,12 +66,11 @@ def per_trial_span_tree(records: List[dict]) -> List[dict]:
     """Aggregate span records by the (protocol, trial) of their job.
 
     Walks each span's parent chain up to the nearest span carrying
-    ``protocol`` plus either ``trial`` (a per-cell executor job) or
-    ``trials`` (a fused trial-batch job / ``batch.stream`` span, which
-    covers several grid cells at once) and folds wall time and counts
-    per span name under each covered trial.  A batch span counts once
-    under every trial it covers; its wall time is split evenly so the
-    per-trial totals still sum to the measured wall.
+    ``protocol`` and ``trials`` (an executor job or ``batch.stream``
+    span, which covers several grid cells at once) and folds wall time
+    and counts per span name under each covered trial.  A span counts
+    once under every trial it covers; its wall time is split evenly so
+    the per-trial totals still sum to the measured wall.
     """
     by_id = {r["id"]: r for r in records
              if r.get("t") == "span" and r.get("id")}
@@ -80,8 +79,6 @@ def per_trial_span_tree(records: List[dict]) -> List[dict]:
         seen = 0
         while record is not None and seen < 64:
             attrs = record.get("attrs") or {}
-            if "protocol" in attrs and "trial" in attrs:
-                return [(str(attrs["protocol"]), int(attrs["trial"]))]
             if "protocol" in attrs and "trials" in attrs:
                 return [(str(attrs["protocol"]), int(t))
                         for t in attrs["trials"]]

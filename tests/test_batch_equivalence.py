@@ -1,17 +1,17 @@
-"""Differential suite for the fused trial-batch kernels.
+"""Differential suite for the fused trial-batch kernel.
 
 :mod:`repro.sim.batch` re-derives every per-cell draw as a lattice over
 the trial axis, so its one non-negotiable contract is *byte identity*
-with the per-cell planned path — same ``Observation`` columns, same
-campaign signatures across backends, same streamed planes.  This suite
-pins that contract three ways:
+with a direct per-cell evaluation — the reference path in
+``tests/observe_oracle.py``: same ``Observation`` columns, same campaign
+signatures across backends, same streamed planes.  This suite pins that
+contract three ways:
 
 * hypothesis property tests on the array-of-trials RNG helpers (the
   identity everything else rests on);
-* cell-by-cell kernel differentials against ``world.observe`` —
-  including targets subsets, ZMap shard configs, and plane-only mode;
-* end-to-end campaign/sharded differentials plus the ``REPRO_BATCH``
-  resolution rules and the batched metadata/job-count surface.
+* cell-by-cell kernel differentials against the oracle — including
+  targets subsets, ZMap shard configs, and plane-only mode;
+* end-to-end campaign/sharded differentials plus the job-count surface.
 """
 
 import dataclasses
@@ -25,11 +25,11 @@ from hypothesis import given, settings, strategies as st
 from repro.rng import (CounterRNG, keyed_bits_lattice, keyed_uniform_array,
                        keyed_uniform_lattice, stream_keys)
 from repro.scanner.zmap import ZMapScanner
-from repro.sim.batch import (PlaneSlice, batch_enabled, observe_trial_batch)
-from repro.sim.campaign import (build_observation_grid, build_trial_batches,
-                                run_campaign)
+from repro.sim.batch import PlaneSlice, observe_trial_batch
+from repro.sim.campaign import build_trial_batches, run_campaign
 from repro.sim.scenario import paper_scenario, paper_sharded_scenario
 from repro.sim.shard import run_sharded_campaign
+from tests import observe_oracle
 
 SCALE = 0.02
 
@@ -120,39 +120,72 @@ class TestLatticeHelpers:
 
 
 # ----------------------------------------------------------------------
-# Switch resolution
+# Batching is the only granularity
 # ----------------------------------------------------------------------
 
-class TestBatchEnabled:
-    def test_default_is_on(self, monkeypatch):
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert batch_enabled() is True
+@pytest.fixture(scope="module")
+def tiny_world():
+    return paper_scenario(seed=3, scale=SCALE)
 
-    def test_unplanned_is_never_batched(self, monkeypatch):
+
+def http_campaign(scenario):
+    world, origins, config = scenario
+    return run_campaign(world, origins, config, protocols=("http",),
+                        n_trials=2)
+
+
+class TestBatchEnabled:
+    """Trial batching is always on.  The switches that once selected a
+    per-cell path (``REPRO_BATCH``, ``batch=``, ``planned=``) are gone:
+    leftovers in the environment change nothing, and the keywords are
+    rejected."""
+
+    def test_default_is_on(self, tiny_world, monkeypatch):
         monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert batch_enabled(planned=False) is False
-        assert batch_enabled(batch=True, planned=False) is False
+        _, origins, _ = tiny_world
+        dataset = http_campaign(tiny_world)
+        assert dataset.metadata["execution"]["n_jobs"] == len(origins)
+        assert "batch" not in dataset.metadata
+
+    def test_unplanned_is_never_batched(self, tiny_world):
+        """No production entry point reaches the per-cell reference
+        path: it lives in ``tests/observe_oracle.py`` only."""
+        world, origins, config = tiny_world
+        with pytest.raises(TypeError):
+            run_campaign(world, origins, config, planned=False)
+        with pytest.raises(TypeError):
+            world.observe("http", 0, origins[0], ZMapScanner(config),
+                          tuple(o.name for o in origins), plan=False)
 
     @pytest.mark.parametrize("value", ["0", "false", "no", "off",
                                        " OFF ", "False"])
-    def test_env_opt_out(self, monkeypatch, value):
+    def test_env_opt_out(self, tiny_world, monkeypatch, value):
+        reference = dataset_signature(http_campaign(tiny_world))
         monkeypatch.setenv("REPRO_BATCH", value)
-        assert batch_enabled() is False
+        dataset = http_campaign(tiny_world)
+        assert dataset.metadata["execution"]["n_jobs"] == len(tiny_world[1])
+        assert dataset_signature(dataset) == reference
 
     @pytest.mark.parametrize("value", ["1", "true", "yes", "on", ""])
-    def test_env_other_values_stay_on(self, monkeypatch, value):
+    def test_env_other_values_stay_on(self, tiny_world, monkeypatch,
+                                      value):
         monkeypatch.setenv("REPRO_BATCH", value)
-        assert batch_enabled() is True
+        dataset = http_campaign(tiny_world)
+        assert dataset.metadata["execution"]["n_jobs"] == len(tiny_world[1])
 
-    def test_explicit_argument_beats_env(self, monkeypatch):
+    def test_explicit_argument_beats_env(self, tiny_world, monkeypatch):
+        """No ``batch=`` argument is left to weigh against the
+        environment."""
+        world, origins, config = tiny_world
         monkeypatch.setenv("REPRO_BATCH", "0")
-        assert batch_enabled(batch=True) is True
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        assert batch_enabled(batch=False) is False
+        with pytest.raises(TypeError):
+            run_campaign(world, origins, config, batch=True)
+        with pytest.raises(TypeError):
+            run_sharded_campaign(world, origins, config, batch=True)
 
 
 # ----------------------------------------------------------------------
-# Kernel-level byte identity against world.observe
+# Kernel-level byte identity against the oracle
 # ----------------------------------------------------------------------
 
 @pytest.fixture(scope="module", params=(3, 17), ids=lambda s: f"seed{s}")
@@ -167,7 +200,7 @@ def batch_jobs_for(origins, config, protocols, n_trials):
 class TestKernelEquivalence:
     def test_every_cell_byte_identical(self, small_world):
         """The headline guarantee: output element *i* of a batch equals
-        the per-cell observation of ``trials[i]``, byte for byte, for
+        the oracle's observation of ``trials[i]``, byte for byte, for
         every (protocol, origin) of the paper grid."""
         world, origins, config = small_world
         names = tuple(o.name for o in origins)
@@ -179,8 +212,8 @@ class TestKernelEquivalence:
                 world, job.protocol, job.origin, job.trials, scanners,
                 names, first_trial=job.first_trial)
             for trial, scanner, obs in zip(job.trials, scanners, batched):
-                reference = world.observe(
-                    job.protocol, trial, job.origin, scanner, names,
+                reference = observe_oracle.observe(
+                    world, job.protocol, trial, job.origin, scanner, names,
                     first_trial=job.first_trial)
                 assert observation_bytes(obs) == observation_bytes(reference)
 
@@ -197,8 +230,9 @@ class TestKernelEquivalence:
         batched = observe_trial_batch(world, "http", origin, trials,
                                       scanners, names, targets=targets)
         for trial, scanner, obs in zip(trials, scanners, batched):
-            reference = world.observe("http", trial, origin, scanner,
-                                      names, targets=targets)
+            reference = observe_oracle.observe(world, "http", trial, origin,
+                                               scanner, names,
+                                               targets=targets)
             assert observation_bytes(obs) == observation_bytes(reference)
 
     def test_zmap_shard_config_matches_per_cell(self, small_world):
@@ -215,8 +249,8 @@ class TestKernelEquivalence:
         batched = observe_trial_batch(world, "https", origin, trials,
                                       scanners, names)
         for trial, scanner, obs in zip(trials, scanners, batched):
-            reference = world.observe("https", trial, origin, scanner,
-                                      names)
+            reference = observe_oracle.observe(world, "https", trial,
+                                               origin, scanner, names)
             assert observation_bytes(obs) == observation_bytes(reference)
 
     def test_plane_only_matches_observation_success(self, small_world):
@@ -257,51 +291,48 @@ class TestKernelEquivalence:
 
 
 # ----------------------------------------------------------------------
-# Campaign-level equivalence and the metadata surface
+# Campaign-level equivalence and the job-count surface
 # ----------------------------------------------------------------------
 
 class TestCampaignEquivalence:
     def test_batched_matches_per_cell_across_backends(self, small_world):
         world, origins, config = small_world
-        reference = run_campaign(world, origins, config, batch=False)
-        assert reference.metadata["batch"] is False
+        reference = observe_oracle.run_campaign(world, origins, config)
         for backend, workers in (("serial", None), ("thread", 4),
                                  ("process", 2)):
-            batched = run_campaign(world, origins, config, batch=True,
+            batched = run_campaign(world, origins, config,
                                    executor=backend, workers=workers)
-            assert batched.metadata["batch"] is True
             assert dataset_signature(batched) == dataset_signature(reference)
 
     def test_batch_job_granularity(self, small_world):
-        """One job per (protocol, origin) instead of per cell."""
+        """One job per (protocol, origin), covering every grid cell."""
         world, origins, config = small_world
         protocols = ("http", "https", "ssh")
         batches = build_trial_batches(origins, config, protocols, 3)
-        grid = build_observation_grid(origins, config, protocols, 3)
+        cells = [(p, t, o.name) for p in protocols for t in range(3)
+                 for o in origins if o.participates(t)]
         assert len(batches) == len(protocols) * len(origins)
-        assert len(batches) < len(grid)
-        assert sum(len(job.trials) for job in batches) == len(grid)
-        batched = run_campaign(world, origins, config, batch=True)
+        assert len(batches) < len(cells)
+        assert sorted((job.protocol, t, job.origin.name)
+                      for job in batches for t in job.trials) \
+            == sorted(cells)
+        batched = run_campaign(world, origins, config)
         assert batched.metadata["execution"]["n_jobs"] == len(batches)
+
 
     def test_env_opt_out_flows_through_run_campaign(self, small_world,
                                                     monkeypatch):
+        """A leftover ``REPRO_BATCH=0`` reaches no switch: the campaign
+        still dispatches one job per (protocol, origin) and matches the
+        oracle."""
         world, origins, config = small_world
         monkeypatch.setenv("REPRO_BATCH", "0")
         dataset = run_campaign(world, origins, config,
                                protocols=("http",), n_trials=2)
-        assert dataset.metadata["batch"] is False
-        monkeypatch.delenv("REPRO_BATCH", raising=False)
-        dataset = run_campaign(world, origins, config,
-                               protocols=("http",), n_trials=2)
-        assert dataset.metadata["batch"] is True
-
-    def test_unplanned_campaign_is_never_batched(self, small_world):
-        world, origins, config = small_world
-        dataset = run_campaign(world, origins, config,
-                               protocols=("http",), n_trials=1,
-                               planned=False, batch=True)
-        assert dataset.metadata["batch"] is False
+        assert dataset.metadata["execution"]["n_jobs"] == len(origins)
+        reference = observe_oracle.run_campaign(
+            world, origins, config, protocols=("http",), n_trials=2)
+        assert dataset_signature(dataset) == dataset_signature(reference)
 
 
 class TestShardedBatchEquivalence:
@@ -310,23 +341,21 @@ class TestShardedBatchEquivalence:
         return paper_sharded_scenario(seed=5, scale=SCALE, n_shards=3)
 
     def test_streamed_planes_identical(self, sharded_scenario):
-        """Plane-only batched streaming reduces to the same packed
-        planes and per-AS tallies as per-cell streaming."""
+        """Plane-only streaming reduces to the same packed planes and
+        per-AS tallies as reducing the materialized observations."""
         sharded, origins, config = sharded_scenario
-        batched = run_sharded_campaign(sharded, origins, config,
-                                       n_trials=2, batch=True)
-        reference = run_sharded_campaign(sharded, origins, config,
-                                         n_trials=2, batch=False)
-        assert batched.metadata["batch"] is True
-        assert reference.metadata["batch"] is False
-        assert streaming_signature(batched) == streaming_signature(reference)
+        planes = run_sharded_campaign(sharded, origins, config,
+                                      n_trials=2, plane_cache=False)
+        materialized, _ = run_sharded_campaign(sharded, origins, config,
+                                               n_trials=2, collect=True)
+        assert streaming_signature(planes) \
+            == streaming_signature(materialized)
 
     def test_collected_dataset_matches_monolithic(self, sharded_scenario):
         sharded, origins, config = sharded_scenario
         _, collected = run_sharded_campaign(sharded, origins, config,
-                                            n_trials=2, batch=True,
-                                            collect=True)
+                                            n_trials=2, collect=True)
         world, morigins, mconfig = paper_scenario(seed=5, scale=SCALE)
-        mono = run_campaign(world, morigins, mconfig, n_trials=2,
-                            batch=False)
+        mono = observe_oracle.run_campaign(world, morigins, mconfig,
+                                           n_trials=2)
         assert dataset_signature(collected) == dataset_signature(mono)

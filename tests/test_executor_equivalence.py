@@ -18,8 +18,7 @@ from repro.blocking.ids import RateIDSSpec
 from repro.core.dataset import CampaignDataset
 from repro.origins import Origin
 from repro.scanner.zmap import ZMapConfig, ZMapScanner
-from repro.sim.campaign import (build_observation_grid,
-                                build_trial_batches, run_campaign)
+from repro.sim.campaign import build_trial_batches, run_campaign
 from repro.sim.executor import ThreadExecutor
 from repro.sim.scenario import build_world_from_specs, paper_scenario
 from repro.sim.world import WorldDefaults
@@ -260,10 +259,10 @@ class TestLateJoinFirstTrial:
 
     def test_grid_carries_first_trial(self):
         world, origins, config = _late_join_setup()
-        jobs = build_observation_grid(origins, config, ("http",),
-                                      n_trials=3)
+        jobs = build_trial_batches(origins, config, ("http",),
+                                   n_trials=3)
         late_jobs = [j for j in jobs if j.origin.name == "LATE"]
-        assert [j.trial for j in late_jobs] == [1, 2]
+        assert [t for j in late_jobs for t in j.trials] == [1, 2]
         assert all(j.first_trial == 1 for j in late_jobs)
         base_jobs = [j for j in jobs if j.origin.name == "BASE"]
         assert all(j.first_trial == 0 for j in base_jobs)

@@ -1,7 +1,7 @@
 """Pickle round-trips for everything the process executor ships.
 
-The process backend serializes the :class:`World` once per worker and an
-:class:`ObservationJob` (origin + trial-reseeded config) per job.  These
+The process backend serializes the :class:`World` once per worker and a
+:class:`TrialBatchJob` (origin + trial-reseeded configs) per job.  These
 tests guard that contract directly: round-tripped objects must not just
 survive, they must *observe identically* — which exercises the lazy
 per-AS caches (loss params, burst-outage windows in
@@ -17,7 +17,7 @@ import pytest
 
 from repro.origins import Origin, paper_origins
 from repro.scanner.zmap import ZMapConfig, ZMapScanner
-from repro.sim.campaign import build_observation_grid
+from repro.sim.campaign import build_trial_batches
 from repro.sim.scenario import paper_scenario
 
 
@@ -68,7 +68,7 @@ class TestScannerPickle:
     def test_job_payload_roundtrip(self):
         """The exact per-job payload the process pool serializes."""
         _, origins, config = paper_scenario(seed=2, scale=0.02)
-        jobs = build_observation_grid(origins, config, ("http",), 3)
+        jobs = build_trial_batches(origins, config, ("http",), 3)
         for job in jobs:
             clone = roundtrip(job)
             assert clone == job

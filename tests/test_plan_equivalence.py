@@ -1,9 +1,9 @@
-"""Differential planned-vs-unplanned observation equivalence tests.
+"""Differential tests: the compiled kernel against the reference oracle.
 
-The compiled observation plan (:mod:`repro.sim.plan`) is pure
-acceleration: ``World.observe(..., plan=None)`` (the default, planned)
-must be *byte-identical* to ``World.observe(..., plan=False)`` (the
-unplanned reference path) in every :class:`~repro.sim.world.Observation`
+Compiled plans and host caches (:mod:`repro.sim.plan`) are pure
+acceleration: ``World.observe`` — a one-trial call of the observation
+kernel — must be *byte-identical* to the reference path in
+``tests/observe_oracle.py`` in every :class:`~repro.sim.world.Observation`
 field.  These tests pin that guarantee differentially across seeds,
 origins, trial positions (including late-join ``first_trial``), sharded
 configs, ``targets=`` subsets, and the campaign/executor layers
@@ -19,12 +19,13 @@ import pytest
 from repro.blocking.ids import RateIDSSpec
 from repro.origins import Origin
 from repro.scanner.zmap import ZMapConfig, ZMapScanner
-from repro.sim.campaign import build_observation_grid, run_campaign
+from repro.sim.campaign import run_campaign
 from repro.sim.plan import ObservationPlan, ObserveProfile, STAGES
 from repro.sim.scenario import build_world_from_specs, paper_scenario
 from repro.sim.world import Observation, WorldDefaults
 from repro.telemetry import Telemetry
 from repro.topology.asn import ASKind, ASSpec
+from tests import observe_oracle
 
 
 def signature(dataset):
@@ -57,7 +58,7 @@ def assert_identical(a: Observation, b: Observation):
         x, y = getattr(a, field), getattr(b, field)
         assert x.dtype == y.dtype, field
         assert np.array_equal(x, y), (
-            f"planned/unplanned mismatch in {field} "
+            f"kernel/oracle mismatch in {field} "
             f"({a.protocol}, trial {a.trial}, {a.origin})")
 
 
@@ -68,7 +69,7 @@ def scenario(request):
 
 class TestObserveEquivalence:
     def test_full_grid_byte_identical(self, scenario):
-        """Every (protocol, trial, origin) cell, planned vs unplanned."""
+        """Every (protocol, trial, origin) cell, kernel vs oracle."""
         world, origins, config = scenario
         names = tuple(o.name for o in origins)
         for protocol in ("http", "https", "ssh"):
@@ -79,12 +80,11 @@ class TestObserveEquivalence:
                 for origin in origins:
                     if not origin.participates(trial):
                         continue
-                    unplanned = world.observe(
-                        protocol, trial, origin, scanner, names,
-                        plan=False)
+                    reference = observe_oracle.observe(
+                        world, protocol, trial, origin, scanner, names)
                     planned = world.observe(
                         protocol, trial, origin, scanner, names)
-                    assert_identical(unplanned, planned)
+                    assert_identical(reference, planned)
 
     def test_targets_subset_byte_identical(self, scenario):
         """The §6 targeted-rescan path through the plan."""
@@ -101,12 +101,12 @@ class TestObserveEquivalence:
                 [targets.astype(np.uint32),
                  np.array([1, 2 ** 32 - 2], dtype=np.uint32)])
             for origin in origins[:2]:
-                unplanned = world.observe(
-                    "http", 0, origin, scanner, names,
-                    targets=targets, plan=False)
+                reference = observe_oracle.observe(
+                    world, "http", 0, origin, scanner, names,
+                    targets=targets)
                 planned = world.observe(
                     "http", 0, origin, scanner, names, targets=targets)
-                assert_identical(unplanned, planned)
+                assert_identical(reference, planned)
 
     def test_sharded_config_byte_identical(self, scenario):
         world, origins, config = scenario
@@ -114,10 +114,10 @@ class TestObserveEquivalence:
         for n_shards, shard in ((2, 1), (4, 0)):
             sharded = ZMapScanner(dataclasses.replace(
                 config, n_shards=n_shards, shard=shard))
-            unplanned = world.observe("https", 1, origins[0], sharded,
-                                      names, plan=False)
+            reference = observe_oracle.observe(
+                world, "https", 1, origins[0], sharded, names)
             planned = world.observe("https", 1, origins[0], sharded, names)
-            assert_identical(unplanned, planned)
+            assert_identical(reference, planned)
 
     def test_late_join_first_trial_byte_identical(self):
         """first_trial routing through compiled IDS entries.
@@ -145,15 +145,15 @@ class TestObserveEquivalence:
                 if not origin.participates(trial):
                     continue
                 first = 1 if origin.name == "LATE" else 0
-                unplanned = world.observe("http", trial, origin, scanner,
-                                          names, first_trial=first,
-                                          plan=False)
+                reference = observe_oracle.observe(
+                    world, "http", trial, origin, scanner, names,
+                    first_trial=first)
                 planned = world.observe("http", trial, origin, scanner,
                                         names, first_trial=first)
-                assert_identical(unplanned, planned)
+                assert_identical(reference, planned)
 
     def test_explicit_plan_reuse_across_trials(self, scenario):
-        """One plan object serves every trial and origin unchanged."""
+        """One compiled plan serves every trial and origin unchanged."""
         world, origins, config = scenario
         names = tuple(o.name for o in origins)
         scanner = ZMapScanner(config)
@@ -161,18 +161,12 @@ class TestObserveEquivalence:
         for trial in range(2):
             for origin in origins[:3]:
                 planned = world.observe("ssh", trial, origin, scanner,
-                                        names, plan=plan)
-                unplanned = world.observe("ssh", trial, origin, scanner,
-                                          names, plan=False)
-                assert_identical(unplanned, planned)
-
-    def test_plan_protocol_mismatch_raises(self, scenario):
-        world, origins, config = scenario
-        scanner = ZMapScanner(config)
-        plan = world.plan("http", scanner)
-        with pytest.raises(ValueError, match="compiled for protocol"):
-            world.observe("ssh", 0, origins[0], scanner,
-                          (origins[0].name,), plan=plan)
+                                        names)
+                reference = observe_oracle.observe(
+                    world, "ssh", trial, origin, scanner, names)
+                assert_identical(reference, planned)
+        assert world.plan("ssh", scanner) is plan
+        assert {o.name for o in origins[:3]} <= set(plan.origin_policies)
 
 
 class TestPlanCaching:
@@ -189,16 +183,20 @@ class TestPlanCaching:
         assert world.plan("http", other) is not world.plan("http", scanner)
 
     def test_plan_pickle_round_trip(self, scenario):
-        """Plans are plain data; a pickled copy observes identically."""
+        """Plans are plain data; a pickled copy is field-for-field equal."""
         world, origins, config = scenario
         names = tuple(o.name for o in origins)
         scanner = ZMapScanner(config)
+        world.observe("http", 0, origins[0], scanner, names)
         plan = world.plan("http", scanner)
         copy = pickle.loads(pickle.dumps(plan))
         assert isinstance(copy, ObservationPlan)
-        a = world.observe("http", 0, origins[0], scanner, names, plan=plan)
-        b = world.observe("http", 0, origins[0], scanner, names, plan=copy)
-        assert_identical(a, b)
+        assert copy.protocol == plan.protocol
+        np.testing.assert_array_equal(copy.eligible_full,
+                                      plan.eligible_full)
+        np.testing.assert_array_equal(copy.base_first_full,
+                                      plan.base_first_full)
+        assert copy.origin_policies == plan.origin_policies
 
     def test_world_pickle_drops_and_rebuilds_plans(self, scenario):
         """The process-executor payload carries no plans; workers rebuild
@@ -218,46 +216,38 @@ class TestCampaignEquivalence:
     def test_campaign_planned_matches_unplanned(self, scenario):
         world, origins, config = scenario
         planned = run_campaign(world, origins, config, executor="serial")
-        unplanned = run_campaign(world, origins, config,
-                                 executor="serial", planned=False)
-        assert signature(planned) == signature(unplanned)
+        reference = observe_oracle.run_campaign(world, origins, config)
+        assert signature(planned) == signature(reference)
 
     @pytest.mark.parametrize("backend", ["thread", "process"])
     def test_campaign_planned_across_backends(self, scenario, backend):
         """Plans cross (or are rebuilt behind) the worker boundary without
         perturbing a single byte."""
         world, origins, config = scenario
-        serial_unplanned = run_campaign(world, origins, config,
-                                        protocols=("http", "ssh"),
-                                        executor="serial", planned=False)
+        reference = observe_oracle.run_campaign(world, origins, config,
+                                                protocols=("http", "ssh"))
         parallel_planned = run_campaign(world, origins, config,
                                         protocols=("http", "ssh"),
                                         executor=backend, workers=2)
-        assert signature(serial_unplanned) == signature(parallel_planned)
-
-    def test_grid_carries_planned_flag(self, scenario):
-        world, origins, config = scenario
-        default = build_observation_grid(origins, config, ("http",), 2)
-        assert all(job.planned for job in default)
+        assert signature(reference) == signature(parallel_planned)
 
 
 class TestTelemetryEquivalence:
     """Telemetry is pure observation: instrumented and uninstrumented
-    runs are byte-identical, planned or not, and the telemetry the two
-    paths emit agrees on everything the determinism contract covers."""
+    runs are byte-identical, and the observation-level counters agree
+    with the oracle's grid."""
 
     def test_telemetry_does_not_perturb_observation(self, scenario):
         world, origins, config = scenario
         names = tuple(o.name for o in origins)
         scanner = ZMapScanner(config)
-        for plan_arg in (None, False):
-            bare = world.observe("http", 0, origins[0], scanner, names,
-                                 plan=plan_arg)
-            with Telemetry():
-                instrumented = world.observe("http", 0, origins[0],
-                                             scanner, names,
-                                             plan=plan_arg)
-            assert_identical(bare, instrumented)
+        bare = world.observe("http", 0, origins[0], scanner, names)
+        with Telemetry():
+            instrumented = world.observe("http", 0, origins[0],
+                                         scanner, names)
+        assert_identical(bare, instrumented)
+        assert_identical(observe_oracle.observe(
+            world, "http", 0, origins[0], scanner, names), instrumented)
 
     def test_campaign_telemetry_does_not_perturb_dataset(self, scenario):
         world, origins, config = scenario
@@ -271,45 +261,52 @@ class TestTelemetryEquivalence:
 
     def test_planned_and_unplanned_agree_on_observe_counters(
             self, scenario):
-        """Only the planned path carries interior instrumentation (stage
-        spans, per-cause blocked-host counts), but the observation-level
-        counters both paths emit must agree exactly — they describe the
-        byte-identical output, not the implementation."""
+        """The observation-level counters describe the output, not the
+        implementation: one call, the row count and the probes sent per
+        grid cell — exactly what the oracle's per-cell grid produces."""
         world, origins, config = scenario
         shared = ("observe.calls", "observe.services",
                   "observe.probes_sent")
+        with Telemetry() as tel:
+            run_campaign(world, origins, config, protocols=("http",),
+                         n_trials=2, telemetry=tel)
+        counted = {key: value
+                   for key, value in tel.counters.totals().items()
+                   if key[0] in shared}
+        assert {name for name, _ in counted} == set(shared)
 
-        def counters(planned):
-            with Telemetry() as tel:
-                run_campaign(world, origins, config, protocols=("http",),
-                             n_trials=2, planned=planned, telemetry=tel)
-            return {key: value
-                    for key, value in tel.counters.totals().items()
-                    if key[0] in shared}
-
-        planned = counters(True)
-        assert {name for name, _ in planned} == set(shared)
-        assert planned == counters(False)
+        expected = {}
+        reference = observe_oracle.run_campaign(
+            world, origins, config, protocols=("http",), n_trials=2)
+        for table in reference:
+            for origin in table.origins:
+                attrs = (("origin", origin), ("protocol", "http"))
+                n = len(table.ip)
+                for name, value in (("observe.calls", 1),
+                                    ("observe.services", n),
+                                    ("observe.probes_sent",
+                                     n * config.n_probes)):
+                    key = (name, attrs)
+                    expected[key] = expected.get(key, 0) + value
+        assert counted == expected
 
     def test_stage_spans_only_on_planned_path(self, scenario):
+        """The kernel emits one stage span per stage; the oracle emits
+        no telemetry at all."""
         world, origins, config = scenario
         names = tuple(o.name for o in origins)
         scanner = ZMapScanner(config)
 
-        def stage_spans(plan_arg):
-            with Telemetry() as tel:
-                world.observe("http", 0, origins[0], scanner, names,
-                              plan=plan_arg)
-            return [r["name"] for r in tel.records
-                    if r["t"] == "span"
-                    and r["name"].startswith("observe.")]
+        with Telemetry() as tel:
+            world.observe("http", 0, origins[0], scanner, names)
+        spans = [r["name"] for r in tel.records if r["t"] == "span"]
+        assert {name for name in spans if name.startswith("observe.")} \
+            == {f"observe.batched.{s}" for s in STAGES}
 
-        assert set(stage_spans(None)) == {
-            f"observe.{s}" for s in STAGES}
-        assert stage_spans(False) == []
-        reference = build_observation_grid(origins, config, ("http",), 2,
-                                           planned=False)
-        assert not any(job.planned for job in reference)
+        with Telemetry() as tel:
+            observe_oracle.observe(world, "http", 0, origins[0], scanner,
+                                   names)
+        assert tel.records == []
 
 
 class TestProfileMetadata:
@@ -318,17 +315,8 @@ class TestProfileMetadata:
         dataset = run_campaign(world, origins, config,
                                protocols=("http",), n_trials=2)
         stages = dataset.metadata["execution"]["stages"]
-        # Batched execution (the default) adds an "emit" stage after the
-        # six plan stages for materializing the per-trial outputs.
-        assert set(stages) == set(STAGES) | {"emit"}
+        assert set(stages) == set(STAGES)
         assert all(seconds >= 0.0 for seconds in stages.values())
-
-    def test_unplanned_campaign_has_no_stages(self, scenario):
-        world, origins, config = scenario
-        dataset = run_campaign(world, origins, config,
-                               protocols=("http",), n_trials=1,
-                               planned=False)
-        assert dataset.metadata["execution"]["stages"] == {}
 
     def test_observe_fills_caller_profile(self, scenario):
         world, origins, config = scenario
@@ -345,11 +333,14 @@ class TestProfileMetadata:
             assert stage in rendered
 
     def test_plan_profile_accumulates(self, scenario):
+        """One profile meters any number of calls, trial by trial."""
         world, origins, config = scenario
         names = tuple(o.name for o in origins)
         scanner = ZMapScanner(config)
-        plan = world.plan("https", scanner)
-        before = plan.profile.n_observations
-        world.observe("https", 0, origins[0], scanner, names)
-        world.observe("https", 1, origins[0], scanner, names)
-        assert plan.profile.n_observations == before + 2
+        profile = ObserveProfile()
+        world.observe("https", 0, origins[0], scanner, names,
+                      profile=profile)
+        world.observe("https", 1, origins[0], scanner, names,
+                      profile=profile)
+        assert profile.n_observations == 2
+        assert profile.stage_calls["l7"] == 2

@@ -23,7 +23,6 @@ from repro.serve.client import ServeClient
 from repro.serve.handlers import (BadRequest, CampaignRequest, ServeState,
                                   parse_request)
 from repro.serve.server import ServeConfig, ThreadedServer
-from repro.sim.campaign import run_plane_campaign
 from repro.sim.scenario import paper_scenario, paper_sharded_scenario
 from repro.sim.shard import run_sharded_campaign
 
@@ -54,8 +53,8 @@ def run(scenario, origins=None, plane_cache=None, **kwargs):
     world, all_origins, config = scenario
     kwargs.setdefault("protocols", PROTS)
     kwargs.setdefault("n_trials", N_TRIALS)
-    return run_plane_campaign(world, origins or all_origins, config,
-                              plane_cache=plane_cache, **kwargs)
+    return run_sharded_campaign(world, origins or all_origins, config,
+                                plane_cache=plane_cache, **kwargs)
 
 
 # ----------------------------------------------------------------------
@@ -79,11 +78,32 @@ def test_cold_warm_and_disabled_are_byte_identical(scenario, plane_dir):
     assert grid_bytes(warm) == grid_bytes(reference)
 
 
-def test_unbatched_path_matches_batched(scenario, plane_dir):
-    batched = run(scenario, plane_cache=False)
-    unbatched = run(scenario, plane_cache=False, batch=False)
-    assert "plane_cache" not in unbatched.metadata
-    assert grid_bytes(unbatched) == grid_bytes(batched)
+#: The ``.planes`` unit keys of the run below, as recorded from a
+#: release that drove plain-world plane runs through a separate
+#: driver.  Unit keys are content addresses shared across processes and
+#: releases, so caches primed by that release must keep hitting.
+PINNED_UNIT_KEYS = (
+    "0015d6f3e00d867d7153a21cff8411e7af87a7eb274ec934ba52c530abffe454",
+    "03c9bc6698f89cdc8ab2f95aeeb8371a6bd48eac8ffe3887127fea230f7a7eac",
+    "055fa82049381b4ad17856a6193c89dc9fd9113f304a0b9182651cf83e422a72",
+    "15d438507b5f8570ac09653f00ccf0d91e82f729eede644f6ab17ffef1eb44c6",
+    "1777267a4d44da5bc4e541b156d3f0ec7411c7fefc5c5ffcfc34dcc207487519",
+    "1f640f35648b569da435014594d7075b4944d185aee5baaf0a9eb6377a9d49f6",
+    "3ee3d4ed4cad24a35a40c04ae52d9ab4cc94426b362f46f831306bdf7500d511",
+    "5ca3a2fd3203fbafb2e55fc7d5f7a565f1046d9f5900c44dd75a53894b4707aa",
+)
+
+
+def test_unit_keys_are_pinned_across_the_driver_merge(scenario, plane_dir):
+    """A plain world streams as its own single shard under the same unit
+    keys (``"shard": [0, 1]``) that earlier releases wrote."""
+    world, origins, config = scenario
+    universe = [o.name for o in origins]
+    result = run(scenario, origins=origins[:2], protocols=("http", "ssh"),
+                 origin_universe=universe, plane_extra={"engine": ""})
+    assert result.metadata["plane_cache"]["stores"] == len(PINNED_UNIT_KEYS)
+    keys = sorted(entry.key for entry in planecache.list_entries(plane_dir))
+    assert tuple(keys) == PINNED_UNIT_KEYS
 
 
 # ----------------------------------------------------------------------
@@ -144,8 +164,8 @@ def test_origin_subset_reuses_full_universe_planes(scenario, plane_dir):
 def test_universe_must_contain_every_origin(scenario, plane_dir):
     world, origins, config = scenario
     with pytest.raises(ValueError):
-        run_plane_campaign(world, origins, config, protocols=PROTS,
-                           n_trials=1, origin_universe=["AU"])
+        run_sharded_campaign(world, origins, config, protocols=PROTS,
+                             n_trials=1, origin_universe=["AU"])
 
 
 # ----------------------------------------------------------------------

@@ -71,9 +71,14 @@ def mono_ds(mono_world, zmap):
 
 @pytest.fixture(scope="module")
 def streamed(sharded, zmap):
-    """(StreamingCampaignResult, CampaignDataset) from the serial path."""
-    return run_sharded_campaign(sharded, paper_origins(), zmap,
-                                n_trials=N_TRIALS, collect=True)
+    """(StreamingCampaignResult, CampaignDataset) of one sharded grid on
+    the serial path: the plane-only stream, reduced shard by shard, and
+    the collected tables the streamed analyses must match."""
+    result = run_sharded_campaign(sharded, paper_origins(), zmap,
+                                  n_trials=N_TRIALS, plane_cache=False)
+    dataset = run_campaign(sharded, paper_origins(), zmap,
+                           n_trials=N_TRIALS)
+    return result, dataset
 
 
 # ----------------------------------------------------------------------
@@ -309,6 +314,23 @@ class TestStreamingCampaign:
         assert tel.counters.total("shard.shards_processed") == N_SHARDS
         names = [r["name"] for r in tel.records if r.get("t") == "span"]
         assert "shard.run_campaign" in names
+
+    def test_telemetry_journal_path_writes_manifest(self, sharded, zmap,
+                                                    tmp_path):
+        """A journal path passed as ``telemetry=`` gets a journal with the
+        run manifest, exactly as ``run_campaign`` writes one."""
+        from repro.telemetry import read_journal
+        path = tmp_path / "sharded.ndjson"
+        result = run_sharded_campaign(sharded, paper_origins()[:2], zmap,
+                                      protocols=("http",), n_trials=1,
+                                      plane_cache=False, telemetry=path)
+        journal = read_journal(path)
+        assert journal.manifest is not None
+        assert journal.manifest["world"] == sharded.fingerprint_payload()
+        assert journal.manifest["n_jobs"] == journal.span_name_counts()[
+            "executor.job"]
+        assert journal.span_name_counts()["shard.stream"] == N_SHARDS
+        assert result.metadata["telemetry"]["journal"] == str(path)
 
 
 # ----------------------------------------------------------------------

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 
 from repro.io.columnar import arrays_from_buffer, decompose_world
-from repro.sim.campaign import build_observation_grid, run_campaign
+from repro.sim.campaign import build_trial_batches, run_campaign
 from repro.sim.executor import (ProcessExecutor, SharedWorld,
                                 make_executor)
 from repro.sim.scenario import paper_scenario
@@ -132,7 +132,7 @@ def test_job_payloads_stay_small_and_scale_free():
     assert len(big_world.hosts) > 2 * len(small_world.hosts)
 
     def payload_sizes(cfg):
-        jobs = build_observation_grid(origins, cfg, PROTOCOLS, 2)
+        jobs = build_trial_batches(origins, cfg, PROTOCOLS, 2)
         return [len(pickle.dumps(job, protocol=pickle.HIGHEST_PROTOCOL))
                 for job in jobs]
 

@@ -124,6 +124,22 @@ class TestDiurnal:
         assert np.nanargmax(a0) == 0
         assert np.nanargmax(a5) == 5
 
+    def test_tiny_negative_local_time_bins_into_hour_23(self):
+        """Regression: in float32, a local time a hair below midnight
+        (probe time + negative UTC offset ≈ -5e-7 h) made ``% 24``
+        round up to 24.0 — a 25th bin that crashed the bincount sums."""
+        times = {"A": [5 * 3600.0 - 0.001, 7200.0]}
+        stamps = np.array(times["A"], dtype=np.float32) / 3600.0
+        assert stamps[0] - 5.0 < 0 and (stamps[0] - 5.0) % 24 == 24.0
+        tables = [make_trial("http", 0, ["A"], [1000, 1001],
+                             l7={"A": ["ok", "ok"]}, time=times)]
+        profile = diurnal_profile(make_campaign(tables), "http",
+                                  utc_offsets={"A": -5.0})
+        assert profile.samples.shape == (1, 24)
+        assert profile.samples[0, 23] == 1
+        assert profile.samples[0, 21] == 1  # 02:00 UTC at UTC-5
+        assert profile.samples.sum() == 2
+
     def test_simulated_world_has_no_diurnal_pattern(self, http_campaign):
         profile = diurnal_profile(http_campaign, "http")
         for origin in profile.origins:

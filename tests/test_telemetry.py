@@ -251,9 +251,9 @@ class TestObserveInstrumentation:
         with Telemetry() as tel:
             obs = world.observe("http", 0, origins[0], scanner, names)
         spans = {r["name"] for r in tel.records if r["t"] == "span"}
-        assert "observe" in spans
+        assert "batch.stream" in spans
         for stage in ("filter", "schedule", "l4_static", "path", "l7"):
-            assert f"observe.{stage}" in spans
+            assert f"observe.batched.{stage}" in spans
         totals = tel.counters.totals()
         key = ("observe.services",
                (("origin", origins[0].name), ("protocol", "http")))

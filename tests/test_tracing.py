@@ -20,8 +20,8 @@ import pickle
 import pytest
 
 from repro.sim.campaign import run_campaign
-from repro.sim.executor import (ObservationJob, ProcessExecutor,
-                                SerialExecutor, ThreadExecutor, run_job)
+from repro.sim.executor import (ProcessExecutor, SerialExecutor,
+                                ThreadExecutor, run_job)
 from repro.sim.scenario import paper_sharded_scenario, small_scenario
 from repro.sim.shard import run_sharded_campaign
 from repro.telemetry import (Telemetry, read_journal, use)
@@ -117,8 +117,8 @@ class TestCampaignTracePropagation:
 
     def test_job_snapshot_carries_trace_id(self, scenario):
         world, origins, config = scenario
-        from repro.sim.campaign import build_observation_grid
-        jobs = build_observation_grid(origins[:1], config, ("http",), 1)
+        from repro.sim.campaign import build_trial_batches
+        jobs = build_trial_batches(origins[:1], config, ("http",), 1)
         ctx = TraceContext(new_trace_id(), "9")
         result = run_job(world, jobs[0], collect=True, trace=ctx)
         assert result.telemetry["trace_id"] == ctx.trace_id

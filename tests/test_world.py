@@ -194,3 +194,28 @@ class TestCampaign:
         row0 = t0.time[0][np.searchsorted(t0.ip, shared)]
         row1 = t1.time[0][np.searchsorted(t1.ip, shared)]
         assert not np.allclose(row0, row1)
+
+
+class TestWorldMemos:
+    def test_outage_model_follows_the_scan_schedule(self):
+        """Regression: the burst-outage memo must be keyed by the origin
+        universe *and* the scan duration.  A world first observed at the
+        scenario's rate used to keep that schedule's outage windows for a
+        slower campaign, so ``probe_mask`` differed from a fresh world's
+        (40 cells at this seed and scale)."""
+        from repro.sim.scenario import paper_scenario
+
+        world, origins, config = paper_scenario(seed=4, scale=0.05)
+        slow = dataclasses.replace(config, pps=config.pps / 4)
+        run_campaign(world, origins, config, protocols=("http",),
+                     n_trials=1)
+        reused = run_campaign(world, origins, slow, protocols=("http",),
+                              n_trials=1)
+        fresh_world, _, _ = paper_scenario(seed=4, scale=0.05)
+        fresh = run_campaign(fresh_world, origins, slow,
+                             protocols=("http",), n_trials=1)
+        a = reused.trial_data("http", 0)
+        b = fresh.trial_data("http", 0)
+        np.testing.assert_array_equal(a.ip, b.ip)
+        np.testing.assert_array_equal(a.probe_mask, b.probe_mask)
+        np.testing.assert_array_equal(a.l7, b.l7)
