@@ -3,7 +3,7 @@
 
 .PHONY: install test test-parallel test-serve test-shard test-batch bench \
 	bench-show bench-analysis bench-io bench-serve bench-scale \
-	bench-incremental bench-diff serve profile trace \
+	bench-incremental bench-diff perfbench serve profile trace \
 	examples report all
 
 install:
@@ -89,6 +89,19 @@ bench-incremental:
 # non-zero when any benchmark's median regresses past tolerance.
 bench-diff:
 	python -m repro bench diff --dir bench_artifacts
+
+# The repository benchmark (BENCHMARK.json): one 30 s run of one
+# workload at one seed, from the checkout's own src/.  TRACE=1 adds the
+# traced run and its per-layer breakdown.  To check a perf claim, run
+# at least ten pairs against a checkout of the parent commit,
+# alternating which side runs first, e.g.
+#   make perfbench WORKLOAD=serve_mix SEED=7 TRACE=1
+WORKLOAD ?= sharded_grid
+SEED ?= 0
+TRACE ?= 0
+perfbench:
+	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
+		--seconds 30 --trace $(TRACE)
 
 # Run the campaign service in the foreground (Ctrl-C drains).
 serve:

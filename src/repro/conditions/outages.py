@@ -124,14 +124,17 @@ class BurstOutageModel:
                        specs_by_as: dict) -> dict:
         """AS index → [(start, end), ...] windows hitting this origin.
 
-        Computed once per (origin, trial) and cached; only a small fraction
-        of ASes have any windows, so downstream evaluation loops stay
-        short.
+        Computed once per (origin, trial, specs) and cached; only a small
+        fraction of ASes have any windows, so downstream evaluation loops
+        stay short.  The cache hits only for the very ``specs_by_as``
+        object it was filled from (callers pass a world's one specs dict):
+        each entry keeps that object alive, so no other dict can come to
+        share its ``id``.
         """
         key = ("active", origin_name, trial, id(specs_by_as))
         cached = self._cache.get(key)
-        if cached is not None:
-            return cached
+        if cached is not None and cached[0] is specs_by_as:
+            return cached[1]
         active: dict = {}
         for as_index, spec in specs_by_as.items():
             relevant = [(w.start, w.end)
@@ -139,7 +142,7 @@ class BurstOutageModel:
                         if w.origin_name == origin_name]
             if relevant:
                 active[int(as_index)] = relevant
-        self._cache[key] = active
+        self._cache[key] = (specs_by_as, active)
         return active
 
     def lost_mask(self, origin_name: str, trial: int, as_idx: np.ndarray,

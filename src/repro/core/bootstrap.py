@@ -86,7 +86,12 @@ def _replicate_stats(rng: CounterRNG, values: np.ndarray, n: int,
     boolean = values.dtype == np.bool_
     for r, key in enumerate(keys):
         keyed_bits_into(key, counters, draws, scratch)
-        np.mod(draws, n_u64, out=draws)
+        # draws mod n, taken as draws - (draws // n) * n: exact in
+        # uint64 (the product never exceeds draws), and numpy divides
+        # by a scalar several times faster than it takes a remainder.
+        np.floor_divide(draws, n_u64, out=scratch)
+        np.multiply(scratch, n_u64, out=scratch)
+        np.subtract(draws, scratch, out=draws)
         if boolean:
             stats[r] = np.count_nonzero(values[index_view])
         else:

@@ -12,14 +12,15 @@ columnar snapshot (:mod:`repro.io.columnar`), so a warm
 The key is a SHA-256 over a *canonical pickle* of the inputs: a
 C-speed pickle at a pinned protocol whose one source of nondeterminism
 — set/frozenset iteration order, which varies with ``PYTHONHASHSEED``
-— is removed by a dispatch-table override that pickles sets as sorted
-tuples.  Pickle bytes decode to exactly one value, so two different
-inputs can never share a key (no false hits); at worst an equal value
-constructed with different internal sharing re-pickles differently and
-misses spuriously, which only costs a rebuild.  Any input change (a
-spec field, the seed, the scale folded into the specs, a GeoIP country
-entry, the snapshot format itself) changes the key; stale entries are
-simply never addressed again.
+— is removed by re-reducing every object that holds a set so that the
+set is rebuilt from a sorted tuple.  The key is therefore the same in
+every process.  Pickle bytes decode to exactly one value, so two
+different inputs can never share a key (no false hits); at worst an
+equal value constructed with different internal sharing re-pickles
+differently and misses spuriously, which only costs a rebuild.  Any
+input change (a spec field, the seed, the scale folded into the specs,
+a GeoIP country entry, the snapshot format itself) changes the key;
+stale entries are simply never addressed again.
 
 Environment:
 
@@ -100,24 +101,80 @@ def cache_dir(directory: Optional[PathLike] = None) -> Path:
 #: Python must not silently re-key (and orphan) every cached world.
 _KEY_PROTOCOL = 5
 
-_KEY_DISPATCH = copyreg.dispatch_table.copy()
-_KEY_DISPATCH[frozenset] = \
-    lambda s: (frozenset, (tuple(sorted(s, key=repr)),))
-_KEY_DISPATCH[set] = lambda s: (set, (tuple(sorted(s, key=repr)),))
+_SETS = (set, frozenset)
+_CONTAINERS = frozenset((set, frozenset, tuple, list, dict))
+
+
+class _SortedSet:
+    """Pickles as ``kind(items)``: a set rebuilt from a sorted tuple."""
+
+    __slots__ = ("kind", "items")
+
+    def __init__(self, kind: type, items: tuple) -> None:
+        self.kind = kind
+        self.items = items
+
+    def __reduce__(self):
+        return self.kind, (self.items,)
+
+
+def _holds_set(values) -> bool:
+    """Whether a set is among ``values`` or in their tuples, lists, dicts."""
+    kinds = set(map(type, values))
+    if kinds.isdisjoint(_CONTAINERS):
+        return False
+    if not kinds.isdisjoint(_SETS):
+        return True
+    return any(_holds_set(v.values() if type(v) is dict else v)
+               for v in values if type(v) in _CONTAINERS)
+
+
+def _sorted_sets(value):
+    """``value`` with every set in it replaced by a :class:`_SortedSet`."""
+    kind = type(value)
+    if kind in _SETS:
+        return _SortedSet(kind, tuple(sorted(map(_sorted_sets, value),
+                                             key=repr)))
+    if kind is tuple or kind is list:
+        return kind(map(_sorted_sets, value))
+    if kind is dict:
+        return {k: _sorted_sets(v) for k, v in value.items()}
+    return value
+
+
+class _KeyPickler(pickle.Pickler):
+    """A pickler whose output does not depend on set iteration order.
+
+    The C pickler writes sets in iteration order, which follows string
+    hashes and so ``PYTHONHASHSEED``, and it never consults a dispatch
+    table or :meth:`reducer_override` for a set.  It does consult
+    :meth:`reducer_override` for every other object, so an object whose
+    ``__dict__`` holds a set (a firewall's origins, a regional policy's
+    countries) is reduced here from a copy of that state with each set
+    sorted.
+    """
+
+    def reducer_override(self, obj):
+        state = getattr(obj, "__dict__", None)
+        # Most objects hold no container at all: settle them in C.
+        if type(state) is not dict \
+                or _CONTAINERS.isdisjoint(map(type, state.values())) \
+                or not _holds_set(state.values()):
+            return NotImplemented
+        return copyreg.__newobj__, (type(obj),), _sorted_sets(state)
 
 
 def _canonical_bytes(value) -> bytes:
-    """Deterministic pickle of ``value`` (sets pickled as sorted tuples).
+    """Deterministic pickle of ``value``: the same bytes in every process.
 
     Dicts pickle in insertion order and dataclasses/enums by structure,
     both deterministic; set iteration order — the one place
     ``PYTHONHASHSEED`` leaks into pickle output — is canonicalized by
-    the dispatch-table overrides.
+    :class:`_KeyPickler` for sets held by objects (``world_key`` builds
+    its payload's own containers from lists).
     """
     buffer = io.BytesIO()
-    pickler = pickle.Pickler(buffer, protocol=_KEY_PROTOCOL)
-    pickler.dispatch_table = _KEY_DISPATCH
-    pickler.dump(value)
+    _KeyPickler(buffer, protocol=_KEY_PROTOCOL).dump(value)
     return buffer.getvalue()
 
 

@@ -180,7 +180,8 @@ def plan_shards(topology: Topology,
 class ShardedWorld:
     """A world partitioned into independently-generated host shards.
 
-    Holds the (small) full topology and defaults plus one loader per
+    Holds the (small) full topology and defaults, one host-less world
+    whose per-topology models every shard shares, and one loader per
     shard; host columns materialize shard-at-a-time, normally as mmap'd
     views over content-addressed columnar segments.  Use
     :meth:`shard_world` for streaming observation and
@@ -199,6 +200,10 @@ class ShardedWorld:
         self.defaults = defaults if defaults is not None else WorldDefaults()
         self.manifest = manifest
         self._loaders = list(loaders)
+        no_hosts = np.empty(0)
+        self._models = World(
+            topology, HostTable.from_sorted_columns(*[no_hosts] * 4),
+            seed, defaults=self.defaults)
 
     @property
     def n_shards(self) -> int:
@@ -214,10 +219,12 @@ class ShardedWorld:
         Identical seed and models to the monolithic world; every
         stochastic draw is elementwise in (host, AS, trial, origin), so
         observing this world yields exactly the monolithic observation
-        rows whose IPs fall in the shard.
+        rows whose IPs fall in the shard.  Every shard world shares this
+        world's models (:meth:`World.with_hosts`), so per-topology work
+        such as drawing burst-outage windows happens once, not once per
+        shard; host caches and plans stay per shard and go with it.
         """
-        return World(self.topology, self.shard_hosts(index), self.seed,
-                     defaults=self.defaults)
+        return self._models.with_hosts(self.shard_hosts(index))
 
     def materialize(self) -> World:
         """Concatenate every shard into one monolithic world.

@@ -24,6 +24,7 @@ the cached host state and plans that kernel reads.
 
 from __future__ import annotations
 
+import copy
 from dataclasses import dataclass, field
 from typing import Dict, Optional, Tuple
 
@@ -121,9 +122,10 @@ class World:
         self._loss_params: Dict[str, Tuple[np.ndarray, ...]] = {}
         self._outage_models: Dict[Tuple[Tuple[str, ...], float],
                                   BurstOutageModel] = {}
-        self._outage_specs: Optional[Dict[int, BurstOutageSpec]] = None
-        self._flaky_params: Optional[Tuple[np.ndarray, ...]] = None
-        self._maxstartups_params: Optional[Tuple[np.ndarray, ...]] = None
+        #: Per-AS tables built on first use ("outage_specs", "flaky",
+        #: "maxstartups").  A dict, not attributes, so that worlds made by
+        #: :meth:`with_hosts` fill and read one shared memo.
+        self._as_tables: Dict[str, object] = {}
         self._plans: Dict[Tuple[str, ZMapConfig], ObservationPlan] = {}
         self._host_caches: Dict[str, HostCaches] = {}
 
@@ -136,6 +138,25 @@ class World:
         state["_plans"] = {}
         state["_host_caches"] = {}
         return state
+
+    def with_hosts(self, hosts: HostTable) -> "World":
+        """This world over another host table, sharing every model.
+
+        The copy shares the churn, blocking, path-loss and burst-outage
+        models, the per-AS parameter tables and their memos: every draw
+        they make is keyed by (seed, AS, origin, trial, protocol), never
+        by a host row, so a model filled by one host table answers any
+        other exactly.  Host-level state — the host table, its
+        :class:`HostCaches` and the compiled plans — is the copy's own.
+        A :class:`~repro.sim.shard.ShardedWorld` hands out its shards
+        this way, so burst-outage windows are drawn once per world, not
+        once per shard.
+        """
+        world = copy.copy(self)
+        world.hosts = hosts
+        world._plans = {}
+        world._host_caches = {}
+        return world
 
     # ------------------------------------------------------------------
     # Lazily built per-AS parameter tables
@@ -187,18 +208,20 @@ class World:
         return model
 
     def outage_specs(self) -> Dict[int, BurstOutageSpec]:
-        if self._outage_specs is None:
-            specs: Dict[int, BurstOutageSpec] = {}
+        specs = self._as_tables.get("outage_specs")
+        if specs is None:
+            specs = {}
             for system in self.topology.ases:
                 spec = system.spec.burst_outages or self.defaults.burst_outages
                 if spec is not None:
                     specs[system.index] = spec
-            self._outage_specs = specs
-        return self._outage_specs
+            self._as_tables["outage_specs"] = specs
+        return specs
 
     def _flaky_param_arrays(self) -> Tuple[np.ndarray, ...]:
         """Per-AS (flaky_fraction, fail_prob, drop_share, dead_fraction)."""
-        if self._flaky_params is None:
+        params = self._as_tables.get("flaky")
+        if params is None:
             n = len(self.topology.ases)
             flaky = np.zeros(n)
             fail = np.zeros(n)
@@ -210,12 +233,13 @@ class World:
                 fail[system.index] = spec.fail_prob
                 drop[system.index] = spec.drop_share
                 dead[system.index] = spec.dead_fraction
-            self._flaky_params = (flaky, fail, drop, dead)
-        return self._flaky_params
+            params = self._as_tables["flaky"] = (flaky, fail, drop, dead)
+        return params
 
     def _maxstartups_param_arrays(self) -> Tuple[np.ndarray, ...]:
         """Per-AS (fraction, mean, spread, solo_factor) arrays."""
-        if self._maxstartups_params is None:
+        params = self._as_tables.get("maxstartups")
+        if params is None:
             n = len(self.topology.ases)
             fraction = np.zeros(n)
             mean = np.zeros(n)
@@ -227,8 +251,9 @@ class World:
                 mean[system.index] = spec.refuse_prob_mean
                 spread[system.index] = spec.refuse_prob_spread
                 solo[system.index] = spec.solo_factor
-            self._maxstartups_params = (fraction, mean, spread, solo)
-        return self._maxstartups_params
+            params = self._as_tables["maxstartups"] = \
+                (fraction, mean, spread, solo)
+        return params
 
     # ------------------------------------------------------------------
     # Compiled observation plans

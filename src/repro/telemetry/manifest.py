@@ -10,7 +10,9 @@ journal is self-describing even after the dataset moved elsewhere.
 from __future__ import annotations
 
 import dataclasses
+import functools
 import hashlib
+import os
 import subprocess
 from typing import Dict, List, Optional, Tuple
 
@@ -49,12 +51,20 @@ def world_fingerprint(world) -> Dict[str, object]:
     }
 
 
+@functools.lru_cache(maxsize=None)
 def git_describe() -> Optional[str]:
-    """``git describe --always --dirty`` of the working tree, if any."""
+    """``git describe --always --dirty`` of the checkout holding this
+    package, if any.
+
+    Runs in the package's own directory, whatever the caller's current
+    directory, and once per process: every manifest of a run (every
+    served report) would otherwise pay a subprocess for the same answer.
+    """
     try:
         result = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
-            capture_output=True, text=True, timeout=5)
+            capture_output=True, text=True, timeout=5,
+            cwd=os.path.dirname(os.path.abspath(__file__)))
     except (OSError, subprocess.SubprocessError):
         return None
     if result.returncode != 0:

@@ -255,6 +255,22 @@ class TestBurstOutages:
         for origins in by_start.values():
             assert len(origins) in (2, 3)
 
+    def test_active_windows_never_answers_for_a_freed_specs_dict(self):
+        # Two temporary specs dicts, one freed before the next is made,
+        # can share an id(); the memo must still tell them apart.
+        hot = BurstOutageSpec(events_per_origin_trial=5.0)
+        model = self._model()
+        assert 3 in model.active_windows("AU", 0, {3: hot})
+        second = model.active_windows("AU", 0, {4: hot})
+        assert second == self._model().active_windows("AU", 0, {4: hot})
+        assert set(second) == {4}
+
+    def test_active_windows_hits_for_the_same_specs_dict(self):
+        specs = {3: BurstOutageSpec(events_per_origin_trial=5.0)}
+        model = self._model()
+        first = model.active_windows("AU", 0, specs)
+        assert model.active_windows("AU", 0, specs) is first
+
     def test_outage_covers(self):
         w = Outage(1, "AU", 0, 10.0, 20.0)
         assert w.covers(10.0) and w.covers(19.99)

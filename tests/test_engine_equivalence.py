@@ -17,9 +17,12 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.cli import main
 from repro.core.bootstrap import (
+    _replicate_stats,
     coverage_difference_interval,
     coverage_interval,
     coverage_intervals,
@@ -148,6 +151,24 @@ class TestBootstrapEquivalence:
         assert coverage_intervals(table, replicates=50,
                                   engine="packed") == \
             coverage_intervals(table, replicates=50, engine="reference")
+
+    @settings(max_examples=40, deadline=None)
+    @given(n=st.one_of(st.sampled_from([1, 2, 3, 64, 4097]),
+                       st.integers(1, 20_000)),
+           seed=st.integers(0, 2 ** 32 - 1), boolean=st.booleans())
+    def test_replicate_stats_match_the_reference_draws(self, n, seed,
+                                                       boolean):
+        """The packed replicate loop (its own modulo, in place) against
+        the reference loop's ``draws % n`` indices, value for value."""
+        from repro.rng import CounterRNG
+
+        values = np.random.default_rng(seed).random(n)
+        if boolean:
+            values = values < 0.5
+        rng = CounterRNG(seed, "bootstrap-coverage")
+        np.testing.assert_array_equal(
+            _replicate_stats(rng, values, n, 12, "packed"),
+            _replicate_stats(rng, values, n, 12, "reference"))
 
     def test_single_probe_interval(self, seeded_campaign):
         ds = seeded_campaign

@@ -200,6 +200,93 @@ class TestShardedWorldEquality:
         np.testing.assert_array_equal(part.time, whole.time[mask])
 
 
+class TestSharedModels:
+    """Shard worlds share their world's per-topology models, never its
+    host state."""
+
+    def test_shard_worlds_share_models_not_host_state(self, specs, zmap):
+        from repro.scanner.zmap import ZMapScanner
+        sharded = build_sharded_world(specs, SEED, paper_defaults(),
+                                      n_shards=N_SHARDS, cache=False)
+        names = tuple(o.name for o in paper_origins())
+        duration = zmap.scan_duration_s
+        worlds = [sharded.shard_world(i) for i in range(N_SHARDS)]
+        first = worlds[0]
+        first.observe("http", 0, paper_origins()[0], ZMapScanner(zmap),
+                      names)
+        assert first._plans and first._host_caches
+        for world in worlds[1:]:
+            assert world._outages(names, duration) \
+                is first._outages(names, duration)
+            assert world.outage_specs() is first.outage_specs()
+            assert world.hosts is not first.hosts
+            assert world._plans == {} and world._plans is not first._plans
+            assert world._host_caches == {} \
+                and world._host_caches is not first._host_caches
+
+    def test_outage_windows_drawn_once_per_world(self, specs, zmap,
+                                                 monkeypatch):
+        """Streaming k shards draws each (AS, trial) window set once."""
+        from repro.conditions.outages import BurstOutageModel
+        drawn = []
+        windows = BurstOutageModel.windows
+
+        def counting_windows(model, as_index, spec, trial):
+            if (as_index, trial) not in model._cache:
+                drawn.append((as_index, trial))
+            return windows(model, as_index, spec, trial)
+
+        monkeypatch.setattr(BurstOutageModel, "windows", counting_windows)
+        sharded = build_sharded_world(specs, SEED, paper_defaults(),
+                                      n_shards=N_SHARDS, cache=False)
+        run_sharded_campaign(sharded, paper_origins(), zmap,
+                             n_trials=N_TRIALS, executor="serial",
+                             plane_cache=False)
+        n_ases = len(sharded.shard_world(0).outage_specs())
+        assert n_ases == len(sharded.topology.ases)
+        assert len(drawn) == n_ases * N_TRIALS
+        assert len(set(drawn)) == len(drawn)
+
+    def test_concurrent_streams_of_one_world_match_serial(self, specs,
+                                                          zmap):
+        """Two grids streamed at once over one sharded world (as two
+        serve requests may) fill its shared memos concurrently."""
+        import sys
+        import threading
+
+        def grid(sharded, **run):
+            result = run_sharded_campaign(sharded, paper_origins(), zmap,
+                                          n_trials=N_TRIALS,
+                                          plane_cache=False, **run)
+            return json.dumps(result.report(replicates=20),
+                              sort_keys=True, default=str)
+
+        def fresh():
+            return build_sharded_world(specs, SEED, paper_defaults(),
+                                       n_shards=N_SHARDS, cache=False)
+
+        reference = grid(fresh(), executor="serial")
+        shared = fresh()
+        grids = [None, None]
+
+        def stream(slot):
+            grids[slot] = grid(shared, executor="thread", workers=4)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            threads = [threading.Thread(target=stream, args=(slot,))
+                       for slot in range(2)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=300)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in threads)
+        assert grids == [reference, reference]
+
+
 # ----------------------------------------------------------------------
 # Fingerprints and cache keys
 # ----------------------------------------------------------------------

@@ -370,6 +370,33 @@ class TestManifest:
         assert spans["batch.stream"]["count"] == len(
             [o for o in origins if o.participates(0)])
 
+    def test_git_describe_runs_once_in_the_package_directory(
+            self, scenario, tmp_path, monkeypatch):
+        from repro.telemetry import manifest as manifest_module
+        calls = []
+        run = manifest_module.subprocess.run
+
+        def counting_run(*args, **kwargs):
+            calls.append(args)
+            return run(*args, **kwargs)
+
+        monkeypatch.setattr(manifest_module.subprocess, "run", counting_run)
+        manifest_module.git_describe.cache_clear()
+        from_here = manifest_module.git_describe()
+        manifest_module.git_describe.cache_clear()
+        monkeypatch.chdir(tmp_path)  # not a checkout
+        world, origins, config = scenario
+        described = []
+        for _ in range(2):
+            with Telemetry() as tel:
+                dataset = run_campaign(world, origins, config,
+                                       protocols=("http",), n_trials=1,
+                                       telemetry=tel)
+            described.append(
+                dataset.metadata["telemetry"]["manifest"]["git"])
+        assert described == [from_here, from_here]
+        assert len(calls) == 2  # one per cache fill, none per manifest
+
 
 # ----------------------------------------------------------------------
 # Rendering and the CLI

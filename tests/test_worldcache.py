@@ -76,6 +76,48 @@ def test_key_is_stable_and_input_sensitive():
     assert key != worldcache.world_key(specs, 7, tweaked, countries)
 
 
+#: Builds the paper world and a variant (both hold firewall/regional
+#: sets) into ``REPRO_CACHE_DIR`` and reports the world-cache hits.
+_CROSS_PROCESS_BUILDS = """
+import json
+from repro.io import worldcache
+from repro.sim.scenario import paper_scenario, paper_sharded_scenario
+from repro.sim.variants import uniform_loss_world
+from repro.telemetry.context import Telemetry, use
+tel = Telemetry()
+with use(tel):
+    paper_scenario(seed=5, scale=0.02)
+    uniform_loss_world(seed=5, scale=0.02)
+sharded = paper_sharded_scenario(seed=5, scale=0.02, n_shards=2)[0]
+print(json.dumps({
+    "keys": sorted(entry.key for entry in worldcache.list_entries()),
+    "hits": tel.counters.total("cache.world_hit"),
+    "shard_base": sharded.manifest.base_key}))
+"""
+
+
+def test_key_is_the_same_in_every_process(tmp_path):
+    """Set iteration order follows ``PYTHONHASHSEED``; the key must not."""
+    import json
+    import os
+    import subprocess
+    import sys
+
+    runs = []
+    for hash_seed in ("1", "2"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed,
+                   REPRO_CACHE_DIR=str(tmp_path))
+        done = subprocess.run([sys.executable, "-c", _CROSS_PROCESS_BUILDS],
+                              env=env, capture_output=True, text=True,
+                              timeout=300, check=True)
+        runs.append(json.loads(done.stdout.splitlines()[-1]))
+    first, second = runs
+    assert len(first["keys"]) == 2
+    assert second["keys"] == first["keys"]
+    assert second["shard_base"] == first["shard_base"]
+    assert (first["hits"], second["hits"]) == (0, 2)
+
+
 def test_env_opt_out(tmp_path, monkeypatch):
     monkeypatch.setenv("REPRO_CACHE_DIR", str(tmp_path))
     monkeypatch.setenv("REPRO_WORLD_CACHE", "0")
