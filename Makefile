@@ -6,6 +6,10 @@
 	bench-incremental bench-diff perfbench serve profile trace \
 	examples report all
 
+# Every target runs against this checkout's sources, installed or not;
+# commands and the subprocesses they start inherit the export.
+export PYTHONPATH := $(CURDIR)/src$(if $(PYTHONPATH),:$(PYTHONPATH))
+
 install:
 	pip install -e . || python setup.py develop
 

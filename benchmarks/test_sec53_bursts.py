@@ -2,7 +2,9 @@
 
 Paper: 14–36 % of transient loss coincides with detectable hour-scale
 bursts; ~60 % of bursts hit a single origin and ≥91 % hit three or fewer;
-Australia is the single-origin victim 30–40 % of the time.
+Australia is the single-origin victim 30–40 % of the time.  Those claims
+are asserted at seeds 1-3 in ``tests/test_paper_claims.py``; this bench
+times the detector and prints its statistics.
 """
 
 from benchmarks.conftest import bench_once
@@ -29,19 +31,3 @@ def test_sec53_burst_outages(benchmark, paper_ds):
     shares = report.single_origin_burst_shares()
     print(render_bars(shares, title="single-origin burst victim shares"))
 
-    # A substantial-but-minority share of transient loss is bursty.
-    assert 0.03 < mean_fraction < 0.6
-
-    # Bursts are detected in a meaningful share of affected ASes.
-    assert report.ases_with_burst > 0.05 * report.ases_with_transient
-
-    # Simultaneity: single-origin bursts dominate; ≤3-origin bursts are
-    # the overwhelming majority.
-    total_bursts = sum(histogram.values())
-    assert histogram.get(1, 0) / total_bursts > 0.45
-    small = sum(v for k, v in histogram.items() if k <= 3)
-    assert small / total_bursts > 0.85
-
-    # Australia is the most common single-origin victim.
-    assert max(shares, key=shares.get) == "AU"
-    assert shares["AU"] > 0.2

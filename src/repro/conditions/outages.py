@@ -15,11 +15,11 @@ paper's finding that ≥91 % of bursts hit three origins or fewer.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import List, Mapping, Sequence
+from typing import Dict, List, Mapping, Sequence
 
 import numpy as np
 
-from repro.rng import CounterRNG
+from repro.rng import CounterRNG, fold_keys, fold_uniform
 
 
 @dataclass(frozen=True)
@@ -86,35 +86,64 @@ class BurstOutageModel:
 
     def windows(self, as_index: int, spec: BurstOutageSpec,
                 trial: int) -> List[Outage]:
-        """All outage windows for one AS in one trial (all origins)."""
+        """All outage windows for one AS in one trial (all origins).
+
+        Single-origin windows come first, in origin order, then the
+        shared ones.
+        """
         key = (as_index, trial)
         cached = self._cache.get(key)
         if cached is not None:
             return cached
+        self._fill(trial, [as_index], [spec])
+        return self._cache[key]
 
-        out: List[Outage] = []
-        # Single-origin events.
+    def _fill(self, trial: int, as_indices: Sequence[int],
+              specs: Sequence[BurstOutageSpec]) -> None:
+        """Draw and cache the windows of ``as_indices`` in one trial.
+
+        Each (AS, origin) stream's Poisson count is drawn for all ASes
+        at once; only the few non-zero counts go on to the scalar draws
+        of start, length and (for shared events) the origin subset.
+        Every draw is a pure function of its stream, so two threads
+        filling the same AS at once store equal windows.
+        """
+        ases = np.asarray(as_indices, dtype=np.int64)
+        root = np.full(len(ases), self._rng.key, dtype=np.uint64)
+        single = fold_keys(root, "single", ases, trial)
+        counts = np.empty((len(ases), len(self.origin_names)),
+                          dtype=np.int64)
         for oi, origin in enumerate(self.origin_names):
-            sub = self._rng.derive("single", as_index, trial, origin)
-            count = _poisson(sub, spec.rate_for(origin))
-            for k in range(count):
-                start = sub.uniform("start", k) * self.scan_duration_s
-                length = sub.exponential(spec.duration_mean_s, "len", k)
-                out.append(Outage(as_index, origin, trial, start,
-                                  min(start + length, self.scan_duration_s)))
-        # Shared events visible to 2-3 origins.
-        sub = self._rng.derive("shared", as_index, trial)
-        count = _poisson(sub, spec.shared_events_per_trial)
-        for k in range(count):
-            start = sub.uniform("start", k) * self.scan_duration_s
-            length = sub.exponential(spec.duration_mean_s, "len", k)
-            width = 2 + (sub.bits("width", k) % 2)  # 2 or 3 origins
-            chosen = sub.shuffled(self.origin_names, k)[:width]
-            for origin in chosen:
-                out.append(Outage(as_index, origin, trial, start,
-                                  min(start + length, self.scan_duration_s)))
-        self._cache[key] = out
-        return out
+            counts[:, oi] = _poisson_counts(
+                fold_uniform(fold_keys(single, origin), "poisson"),
+                np.array([spec.rate_for(origin) for spec in specs]))
+        shared = _poisson_counts(
+            fold_uniform(fold_keys(root, "shared", ases, trial), "poisson"),
+            np.array([spec.shared_events_per_trial for spec in specs]))
+
+        drawn = {(int(as_index), trial): [] for as_index in as_indices}
+        duration = self.scan_duration_s
+        for i in np.flatnonzero(counts.any(axis=1) | (shared > 0)):
+            as_index = int(ases[i])
+            mean = specs[i].duration_mean_s
+            out = drawn[(as_index, trial)]
+            for oi in np.flatnonzero(counts[i]):
+                origin = self.origin_names[oi]
+                sub = self._rng.derive("single", as_index, trial, origin)
+                for k in range(int(counts[i, oi])):
+                    start = sub.uniform("start", k) * duration
+                    length = sub.exponential(mean, "len", k)
+                    out.append(Outage(as_index, origin, trial, start,
+                                      min(start + length, duration)))
+            sub = self._rng.derive("shared", as_index, trial)
+            for k in range(int(shared[i])):
+                start = sub.uniform("start", k) * duration
+                length = sub.exponential(mean, "len", k)
+                width = 2 + (sub.bits("width", k) % 2)  # 2 or 3 origins
+                for origin in sub.shuffled(self.origin_names, k)[:width]:
+                    out.append(Outage(as_index, origin, trial, start,
+                                      min(start + length, duration)))
+        self._cache.update(drawn)
 
     # ------------------------------------------------------------------
     # Evaluation
@@ -129,21 +158,30 @@ class BurstOutageModel:
         stay short.  The cache hits only for the very ``specs_by_as``
         object it was filled from (callers pass a world's one specs dict):
         each entry keeps that object alive, so no other dict can come to
-        share its ``id``.
+        share its ``id``.  A miss draws the trial's windows for every AS
+        not drawn yet and files them under every origin at once.
         """
         key = ("active", origin_name, trial, id(specs_by_as))
         cached = self._cache.get(key)
         if cached is not None and cached[0] is specs_by_as:
             return cached[1]
-        active: dict = {}
-        for as_index, spec in specs_by_as.items():
-            relevant = [(w.start, w.end)
-                        for w in self.windows(int(as_index), spec, trial)
-                        if w.origin_name == origin_name]
-            if relevant:
-                active[int(as_index)] = relevant
-        self._cache[key] = (specs_by_as, active)
-        return active
+        cache = self._cache
+        missing = [as_index for as_index in specs_by_as
+                   if (int(as_index), trial) not in cache]
+        if missing:
+            self._fill(trial, missing,
+                       [specs_by_as[as_index] for as_index in missing])
+        by_origin: Dict[str, dict] = {
+            name: {} for name in (*self.origin_names, origin_name)}
+        for as_index in specs_by_as:
+            as_index = int(as_index)
+            for window in cache[(as_index, trial)]:
+                by_origin[window.origin_name].setdefault(
+                    as_index, []).append((window.start, window.end))
+        for name, active in by_origin.items():
+            cache[("active", name, trial, id(specs_by_as))] = \
+                (specs_by_as, active)
+        return by_origin[origin_name]
 
     def lost_mask(self, origin_name: str, trial: int, as_idx: np.ndarray,
                   times: np.ndarray, specs_by_as: dict) -> np.ndarray:
@@ -175,16 +213,30 @@ class BurstOutageModel:
                    if w.origin_name == origin_name)
 
 
-def _poisson(rng: CounterRNG, lam: float) -> int:
-    """A small-λ Poisson variate via inversion (λ ≤ ~30 in practice)."""
-    if lam <= 0:
-        return 0
-    u = rng.uniform("poisson")
-    p = float(np.exp(-lam))
-    cdf = p
+def _poisson_counts(u: np.ndarray, lam: np.ndarray) -> np.ndarray:
+    """Small-λ Poisson variates by inversion, one per uniform ``u[i]``.
+
+    Element *i* is the least k ≤ 1000 whose CDF at rate ``lam[i]``
+    reaches ``u[i]`` (0 where ``lam[i]`` ≤ 0).  The CDF is summed in the
+    scalar order, and e^-λ is taken once per distinct rate with the
+    scalar ``np.exp``, so the counts do not depend on how many
+    variates are drawn together.
+    """
+    counts = np.zeros(len(u), dtype=np.int64)
+    live = np.flatnonzero(lam > 0)
+    if len(live) == 0:
+        return counts
+    u = u[live]
+    lam = lam[live]
+    rates, which = np.unique(lam, return_inverse=True)
+    p = np.array([float(np.exp(-float(rate))) for rate in rates])[which]
+    cdf = p.copy()
+    rows = np.flatnonzero(u > cdf)
     k = 0
-    while u > cdf and k < 1000:
+    while len(rows) and k < 1000:
         k += 1
-        p *= lam / k
-        cdf += p
-    return k
+        counts[live[rows]] = k
+        p[rows] *= lam[rows] / k
+        cdf[rows] += p[rows]
+        rows = rows[u[rows] > cdf[rows]]
+    return counts

@@ -29,18 +29,26 @@ SIGMA_THRESHOLD = 2.0
 
 
 def rolling_mean(series: np.ndarray, window: int) -> np.ndarray:
-    """Centered rolling mean with edge shrinkage (window ≥ 1)."""
+    """Centered rolling mean with edge shrinkage (window ≥ 1).
+
+    Runs along the last axis, so a 2-D ``series`` smooths every row.
+    Each window is summed left to right from +0.0, which is how numpy
+    sums fewer than 8 values: for windows below 8 the result is
+    bit-identical to ``series[lo:hi].mean()`` per position.
+    """
     if window < 1:
         raise ValueError("window must be >= 1")
     series = np.asarray(series, dtype=np.float64)
-    n = len(series)
-    out = np.empty(n)
+    n = series.shape[-1]
     half = window // 2
-    for i in range(n):
-        lo = max(0, i - half)
-        hi = min(n, i + window - half)
-        out[i] = series[lo:hi].mean()
-    return out
+    total = np.zeros(series.shape)
+    count = np.zeros(n)
+    for shift in range(-half, window - half):
+        lo, hi = max(0, -shift), min(n, n - shift)
+        if lo < hi:
+            total[..., lo:hi] += series[..., lo + shift:hi + shift]
+            count[lo:hi] += 1
+    return total / count
 
 
 def detect_burst_bins(series: np.ndarray,
@@ -50,11 +58,23 @@ def detect_burst_bins(series: np.ndarray,
     series = np.asarray(series, dtype=np.float64)
     if len(series) < 2 or series.sum() == 0:
         return np.array([], dtype=np.int64)
-    noise = series - rolling_mean(series, window)
-    spread = noise.std()
-    if spread == 0:
-        return np.array([], dtype=np.int64)
-    return np.flatnonzero(noise > sigma * spread)
+    return _hot_bins(series[np.newaxis], window, sigma)[0]
+
+
+def _hot_bins(matrix: np.ndarray, window: int,
+              sigma: float) -> List[np.ndarray]:
+    """:func:`detect_burst_bins` of every row of a float ``matrix``.
+
+    Rows must have at least two bins and a non-zero sum.  The spread is
+    taken one row at a time, as the one-series detector takes it.
+    """
+    noise = matrix - rolling_mean(matrix, window)
+    hot = []
+    for row in noise:
+        spread = row.std()
+        hot.append(np.array([], dtype=np.int64) if spread == 0
+                   else np.flatnonzero(row > sigma * spread))
+    return hot
 
 
 @dataclass
@@ -147,34 +167,42 @@ def burst_report(dataset: CampaignDataset, protocol: str,
             picked = np.flatnonzero(mask & (pos >= 0))
             if len(picked) == 0:
                 continue
-            as_of = cls.as_index[picked]
-            transient_as.update(int(a) for a in np.unique(as_of) if a >= 0)
+            ases, as_rank, misses = np.unique(
+                cls.as_index[picked], return_inverse=True,
+                return_counts=True)
+            transient_as.update(ases[ases >= 0].tolist())
             row = table.origin_row(origin)
             times = table.time[row][pos[picked]]
             bins = (times / BIN_SECONDS).astype(np.int64)
             n_bins = n_bins_hint or int(bins.max()) + 1
-            for as_index in np.unique(as_of):
-                if as_index < 0:
-                    continue
-                members = as_of == as_index
-                if int(members.sum()) < min_misses:
-                    continue
-                member_bins = bins[members]
-                series = np.bincount(
-                    np.clip(member_bins, 0, n_bins - 1),
-                    minlength=n_bins)
-                hot = detect_burst_bins(series)
+            # One hourly series per AS with enough misses: a matrix of
+            # AS rank x hour bin, in ascending AS order.
+            kept = np.flatnonzero((ases >= 0) & (misses >= min_misses))
+            if len(kept) == 0 or n_bins < 2:
+                continue
+            row_of = np.full(len(ases), -1, dtype=np.int64)
+            row_of[kept] = np.arange(len(kept))
+            member_row = row_of[as_rank]
+            counted = member_row >= 0
+            cells = member_row[counted] * n_bins \
+                + np.clip(bins[counted], 0, n_bins - 1)
+            series = np.bincount(cells, minlength=len(kept) * n_bins) \
+                .reshape(len(kept), n_bins)
+            hot_rows = _hot_bins(series.astype(np.float64),
+                                 SMOOTH_WINDOW_BINS, SIGMA_THRESHOLD)
+            for as_index, counts, hot in zip(ases[kept].tolist(), series,
+                                             hot_rows):
                 if len(hot) == 0:
                     continue
-                burst_as.add(int(as_index))
-                hot_set = set(int(h) for h in hot)
-                coincident = sum(int(series[h]) for h in hot_set)
-                burst_coincident[oi, ti] += coincident
+                burst_as.add(as_index)
+                hot_set = set(hot.tolist())
+                burst_coincident[oi, ti] += sum(int(counts[h])
+                                                for h in hot_set)
                 for h in hot_set:
                     events.append(BurstEvent(
-                        origin=origin, as_index=int(as_index),
+                        origin=origin, as_index=as_index,
                         trial_pos=ti, bin_index=h,
-                        lost_hosts=int(series[h])))
+                        lost_hosts=int(counts[h])))
 
     return BurstReport(
         protocol=protocol, origins=chosen, events=events,

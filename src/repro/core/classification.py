@@ -97,39 +97,22 @@ class Classification:
         Hosts inside such /24s are "network" misses; the rest are "host"
         misses.  Counts are hosts, matching the paper's Figure 2 axes.
         """
-        present_row = self.present[trial_pos]
-        cat_row = self.category[trial_pos]
-        target = cat_row == int(category)
-        if not np.any(target):
+        present_idx = np.flatnonzero(self.present[trial_pos])
+        in_target = self.category[trial_pos][present_idx] == int(category)
+        n_target = int(np.count_nonzero(in_target))
+        if n_target == 0:
             return {"host": 0, "network": 0}
-
-        blocks = slash24_array(self.ips)
-        present_idx = np.flatnonzero(present_row)
-        if len(present_idx) == 0:
-            return {"host": 0, "network": 0}
-        block_of_present = blocks[present_idx]
-        order = np.argsort(block_of_present, kind="stable")
-        sorted_blocks = block_of_present[order]
-        sorted_idx = present_idx[order]
-        boundaries = np.flatnonzero(
-            np.diff(sorted_blocks.astype(np.int64)) != 0) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [len(sorted_blocks)]])
-
-        network_hosts = 0
-        host_hosts = 0
-        for start, end in zip(starts, ends):
-            members = sorted_idx[start:end]
-            member_cats = cat_row[members]
-            in_target = member_cats == int(category)
-            n_target = int(in_target.sum())
-            if n_target == 0:
-                continue
-            if len(members) >= 2 and np.all(member_cats == member_cats[0]):
-                network_hosts += n_target
-            else:
-                host_hosts += n_target
-        return {"host": host_hosts, "network": network_hosts}
+        blocks = slash24_array(self.ips[present_idx])
+        order = np.argsort(blocks, kind="stable")
+        sorted_blocks = blocks[order]
+        starts = np.flatnonzero(np.concatenate(
+            ([True], sorted_blocks[1:] != sorted_blocks[:-1])))
+        sizes = np.diff(np.append(starts, len(sorted_blocks)))
+        targets = np.add.reduceat(in_target[order].astype(np.int64), starts)
+        # With at least one target host, "every member shares a category"
+        # means every member is a target host.
+        network = int(targets[(sizes >= 2) & (targets == sizes)].sum())
+        return {"host": n_target - network, "network": network}
 
 
 def classify_misses(dataset: CampaignDataset, protocol: str, origin: str,

@@ -257,6 +257,40 @@ def keyed_bits_array(keys: np.ndarray,
     return _mix_array(_mix_array(keys ^ counters))
 
 
+def fold_keys(keys: np.ndarray, *stream) -> np.ndarray:
+    """:meth:`CounterRNG.derive` over an array of stream keys.
+
+    ``keys`` carries stream keys (:attr:`CounterRNG.key`).  Each part of
+    ``stream`` is an int, a str, or an integer array that broadcasts
+    against ``keys``; element *i* of the result is the key of
+    ``derive(*stream)`` on the stream keyed ``keys[i]``, with every array
+    part contributing its *i*-th element.  Bit-identical to the scalar
+    fold: strings fold byte by byte and then their length.
+    """
+    state = np.asarray(keys, dtype=np.uint64)
+    for part in stream:
+        if isinstance(part, str):
+            for byte in part.encode("utf-8"):
+                state = _mix_array(state ^ np.uint64(byte))
+            state = _mix_array(state ^ np.uint64(len(part)))
+        elif isinstance(part, (int, np.integer)):
+            state = _mix_array(state ^ np.uint64(int(part) & _MASK64))
+        else:
+            state = _mix_array(
+                state ^ np.asarray(part, dtype=np.int64).astype(np.uint64))
+    return state
+
+
+def fold_uniform(keys: np.ndarray, *counters: KeyPart) -> np.ndarray:
+    """:meth:`CounterRNG.uniform` over an array of stream keys.
+
+    Element *i* is ``uniform(*counters)`` of the stream keyed ``keys[i]``;
+    ``counters`` may be strs as well as ints, as in the scalar draw.
+    """
+    bits = _mix_array(fold_keys(keys, *counters))
+    return (bits >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
+
+
 def keyed_uniform_array(keys: np.ndarray,
                         counters: np.ndarray) -> np.ndarray:
     """Floats in [0, 1) where element *i* is drawn from stream ``keys[i]``.

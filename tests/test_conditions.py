@@ -13,7 +13,7 @@ from repro.conditions.outages import (
     BurstOutageModel,
     BurstOutageSpec,
     Outage,
-    _poisson,
+    _poisson_counts,
 )
 from repro.rng import CounterRNG
 
@@ -279,6 +279,12 @@ class TestBurstOutages:
     def test_duration_validation(self):
         with pytest.raises(ValueError):
             BurstOutageModel(CounterRNG(1), ["A"], 0.0)
+
+
+def _poisson(rng, lam):
+    """One variate of the model's inversion, on the stream's own draw."""
+    return int(_poisson_counts(np.array([rng.uniform("poisson")]),
+                               np.array([lam]))[0])
 
 
 class TestPoisson:

@@ -5,7 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng import CounterRNG, scalar_matches_vector
+from repro.rng import (CounterRNG, fold_keys, fold_uniform,
+                       scalar_matches_vector)
 
 
 class TestDeterminism:
@@ -50,6 +51,31 @@ class TestDeterminism:
     def test_rejects_bad_key_type(self):
         with pytest.raises(TypeError):
             CounterRNG(1, 3.5)
+
+
+class TestFoldKeys:
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           ids=st.lists(st.integers(0, 2**40), min_size=1, max_size=20),
+           trial=st.integers(0, 2**64 + 5),
+           name=st.text(max_size=6))
+    def test_fold_keys_matches_derive(self, seed, ids, trial, name):
+        rng = CounterRNG(seed, "root")
+        keys = np.full(len(ids), rng.key, dtype=np.uint64)
+        folded = fold_keys(keys, "single", np.array(ids), trial, name)
+        assert folded.tolist() == [
+            rng.derive("single", i, trial, name).key for i in ids]
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           ids=st.lists(st.integers(0, 2**40), min_size=1, max_size=20),
+           k=st.integers(0, 50))
+    def test_fold_uniform_matches_uniform(self, seed, ids, k):
+        rng = CounterRNG(seed, "root")
+        keys = np.array([rng.derive(i).key for i in ids], dtype=np.uint64)
+        drawn = fold_uniform(keys, "start", k)
+        assert drawn.tobytes() == np.array(
+            [rng.derive(i).uniform("start", k) for i in ids]).tobytes()
 
 
 class TestScalarVectorAgreement:

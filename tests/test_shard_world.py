@@ -75,9 +75,10 @@ def streamed(sharded, zmap):
     the serial path: the plane-only stream, reduced shard by shard, and
     the collected tables the streamed analyses must match."""
     result = run_sharded_campaign(sharded, paper_origins(), zmap,
-                                  n_trials=N_TRIALS, plane_cache=False)
+                                  n_trials=N_TRIALS, executor="serial",
+                                  plane_cache=False)
     dataset = run_campaign(sharded, paper_origins(), zmap,
-                           n_trials=N_TRIALS)
+                           n_trials=N_TRIALS, executor="serial")
     return result, dataset
 
 
@@ -229,14 +230,13 @@ class TestSharedModels:
         """Streaming k shards draws each (AS, trial) window set once."""
         from repro.conditions.outages import BurstOutageModel
         drawn = []
-        windows = BurstOutageModel.windows
+        fill = BurstOutageModel._fill
 
-        def counting_windows(model, as_index, spec, trial):
-            if (as_index, trial) not in model._cache:
-                drawn.append((as_index, trial))
-            return windows(model, as_index, spec, trial)
+        def counting_fill(model, trial, as_indices, specs):
+            drawn.extend((int(a), trial) for a in as_indices)
+            return fill(model, trial, as_indices, specs)
 
-        monkeypatch.setattr(BurstOutageModel, "windows", counting_windows)
+        monkeypatch.setattr(BurstOutageModel, "_fill", counting_fill)
         sharded = build_sharded_world(specs, SEED, paper_defaults(),
                                       n_shards=N_SHARDS, cache=False)
         run_sharded_campaign(sharded, paper_origins(), zmap,

@@ -43,7 +43,7 @@ def shm_world():
 def test_shm_campaign_byte_identical_to_serial(shm_world):
     world, origins, config = shm_world
     serial = run_campaign(world, origins, config, protocols=PROTOCOLS,
-                          n_trials=2)
+                          n_trials=2, executor="serial")
     shm = run_campaign(world, origins, config, protocols=PROTOCOLS,
                        n_trials=2,
                        executor=ProcessExecutor(workers=2,

@@ -35,7 +35,7 @@ def campaign_journal(scenario, tmp_path_factory):
     world, origins, config = scenario
     path = tmp_path_factory.mktemp("tel") / "run.ndjson"
     dataset = run_campaign(world, origins, config, protocols=("http",),
-                           n_trials=2, telemetry=path)
+                           n_trials=2, executor="serial", telemetry=path)
     return dataset, path
 
 
