@@ -8,20 +8,20 @@ against the reference set-algebra path at paper scale, the same way
   HTTP ground-truth hosts, packed (OR + popcount over bit-planes) vs
   reference (per-subset boolean unions);
 * ``coverage_interval`` — a 500-replicate host bootstrap, packed
-  (blocked keyed draw matrix + row sums) vs reference (per-replicate
-  loop);
+  (keyed draws through preallocated buffers, the replicates split
+  across the CPUs from 2**15 hosts) vs reference (per-replicate loop);
 * ``full_report`` — the end-to-end §3–§7 report over one shared
   :class:`~repro.core.engine.AnalysisContext` per protocol.
 
 The guard asserts the packed engine pays for itself by the acceptance
 floor.  The multi-origin win is algorithmic (bit-parallel set algebra:
 ~60× less memory traffic per union), so its ≥2× floor is asserted on
-any hardware, like the compiled-plan guard.  The bootstrap win is
-overhead elimination — both engines perform identical splitmix64
+any hardware, like the compiled-plan guard.  On one CPU the bootstrap
+win is overhead elimination — both engines perform identical splitmix64
 arithmetic, so its ceiling tracks the machine's ALU/cache balance
-(~1.7× on this 1-CPU container): "not slower" is asserted everywhere
-and the ≥2× floor only when more than one CPU is visible, matching the
-hardware gating of the parallel-execution benchmarks.
+(~1.7× on a 1-CPU container); with more CPUs the packed loop also
+splits its replicates across them.  So "not slower" is asserted
+everywhere and the ≥2× floor only when more than one CPU is visible.
 """
 
 import os

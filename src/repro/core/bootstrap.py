@@ -14,21 +14,32 @@ through preallocated buffers (:func:`repro.rng.keyed_bits_into`): no
 per-replicate allocations, no redundant copies, and a working set that
 stays cache-resident — the win over the reference per-replicate loop
 is pure overhead elimination, since both perform the same splitmix64
-arithmetic.  Both produce bit-identical intervals: every replicate
+arithmetic.  Once a replicate draws at least :data:`SPLIT_MIN_DRAWS`
+indices, the replicates are split into contiguous parts, one per CPU
+the process may run on, each computed on its own thread.  Both engines
+produce bit-identical intervals, split or not: every replicate
 statistic reduces the same values in the same order, and the boolean
 case is an exact small-integer count in float64.
 """
 
 from __future__ import annotations
 
+import os
 from dataclasses import dataclass
-from typing import Dict, Optional, Sequence
+from threading import Thread
+from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
 from repro.core.dataset import TrialData
 from repro.core.engine import resolve_engine
-from repro.rng import CounterRNG, keyed_bits_into
+from repro.rng import CounterRNG, fold_keys, keyed_bits_into
+
+#: A replicate drawing at least this many indices splits the packed
+#: replicate loop across the CPUs.  Every numpy call ends with an
+#: interpreter-lock hand-off, and below ~2**15 elements a call is too
+#: short for a second thread to pay for it.
+SPLIT_MIN_DRAWS = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -54,35 +65,28 @@ def _resample_indices(rng: CounterRNG, n: int, replicate: int
     return (draws % np.uint64(n)).astype(np.int64)
 
 
-def _replicate_stats(rng: CounterRNG, values: np.ndarray, n: int,
-                     replicates: int, engine: str) -> np.ndarray:
-    """Per-replicate resampled means of ``values`` (length n).
+def _available_cpus() -> int:
+    """CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity masks on this platform
+        return os.cpu_count() or 1
 
-    The packed engine derives one stream key per replicate — the same
-    fold of the replicate counter the reference path performs — then
-    draws each replicate's index vector through two preallocated uint64
-    buffers (:func:`repro.rng.keyed_bits_into`), reduces in place, and
-    never allocates inside the loop.  Bit-identical to the reference:
-    same draws, same reduction order (boolean values reduce to an exact
-    integer count; float values reduce with the same pairwise sum
-    ``mean()`` uses), same final division by ``n``.
-    """
-    stats = np.empty(replicates)
-    if engine == "reference":
-        for r in range(replicates):
-            idx = _resample_indices(rng, n, r)
-            stats[r] = values[idx].mean()
-        return stats
-    keys = np.array([rng.derive(r).key for r in range(replicates)],
-                    dtype=np.uint64)
-    counters = np.arange(n, dtype=np.uint64)
-    draws = np.empty(n, dtype=np.uint64)
-    scratch = np.empty(n, dtype=np.uint64)
+
+def _replicate_part(keys: np.ndarray, values: np.ndarray,
+                    stats: np.ndarray, counters: np.ndarray,
+                    draws: np.ndarray, scratch: np.ndarray,
+                    gathered: np.ndarray) -> None:
+    """Write replicate ``keys[r]``'s resampled count or sum to
+    ``stats[r]``, drawing through the caller's buffers (``draws`` and
+    ``scratch`` uint64, ``gathered`` of ``values``' dtype, each as long
+    as ``counters``).  The gather checks its bounds, so ``values``
+    shorter than ``counters`` raises :class:`IndexError`."""
+    n_u64 = np.uint64(len(counters))
     # After the modulo every draw is < n < 2**63, so reading the buffer
-    # as int64 is free and skips the uint64→intp cast fancy indexing
-    # would otherwise make per replicate.
+    # as int64 is free and skips the uint64→intp cast a gather would
+    # otherwise make per replicate.
     index_view = draws.view(np.int64)
-    n_u64 = np.uint64(n)
     boolean = values.dtype == np.bool_
     for r, key in enumerate(keys):
         keyed_bits_into(key, counters, draws, scratch)
@@ -92,10 +96,67 @@ def _replicate_stats(rng: CounterRNG, values: np.ndarray, n: int,
         np.floor_divide(draws, n_u64, out=scratch)
         np.multiply(scratch, n_u64, out=scratch)
         np.subtract(draws, scratch, out=draws)
+        np.take(values, index_view, out=gathered)
         if boolean:
-            stats[r] = np.count_nonzero(values[index_view])
+            stats[r] = np.count_nonzero(gathered)
         else:
-            stats[r] = values[index_view].sum()
+            stats[r] = gathered.sum()
+
+
+def _replicate_stats(rng: CounterRNG, values: np.ndarray, n: int,
+                     replicates: int, engine: str) -> np.ndarray:
+    """Per-replicate resampled means of ``values`` (length n).
+
+    The packed engine derives one stream key per replicate — the same
+    fold of the replicate counter the reference path performs — then
+    draws each replicate's index vector through preallocated buffers
+    (:func:`_replicate_part`).  From :data:`SPLIT_MIN_DRAWS` draws per
+    replicate, the replicates split into contiguous parts, one per
+    available CPU: the calling thread computes the first and one
+    started thread each other part, every part into its own slice of
+    the result through buffers allocated here.  Bit-identical to the
+    reference, split or not: same draws, same reduction order (boolean
+    values reduce to an exact integer count; float values reduce with
+    the same pairwise sum ``mean()`` uses), same final division by
+    ``n``.  A part's exception is raised here, after every started
+    thread has been joined.
+    """
+    stats = np.empty(replicates)
+    if engine == "reference":
+        for r in range(replicates):
+            idx = _resample_indices(rng, n, r)
+            stats[r] = values[idx].mean()
+        return stats
+    keys = fold_keys(np.full(replicates, rng.key, dtype=np.uint64),
+                     np.arange(replicates))
+    counters = np.arange(n, dtype=np.uint64)
+    parts = min(_available_cpus(), replicates) \
+        if n >= SPLIT_MIN_DRAWS else 1
+    bounds = [replicates * p // parts for p in range(parts + 1)]
+    jobs = [(keys[lo:hi], values, stats[lo:hi], counters,
+             np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64),
+             np.empty(n, dtype=values.dtype))
+            for lo, hi in zip(bounds, bounds[1:])]
+    errors: List[BaseException] = []
+
+    def run(job: tuple) -> None:
+        try:
+            _replicate_part(*job)
+        except BaseException as exc:  # re-raised in the calling thread
+            errors.append(exc)
+
+    started: List[Thread] = []
+    try:
+        for job in jobs[1:]:
+            thread = Thread(target=run, args=(job,))
+            thread.start()
+            started.append(thread)
+        _replicate_part(*jobs[0])
+    finally:
+        for thread in started:
+            thread.join()
+    if errors:
+        raise errors[0]
     stats /= n
     return stats
 

@@ -65,16 +65,14 @@ def _hot_bins(matrix: np.ndarray, window: int,
               sigma: float) -> List[np.ndarray]:
     """:func:`detect_burst_bins` of every row of a float ``matrix``.
 
-    Rows must have at least two bins and a non-zero sum.  The spread is
-    taken one row at a time, as the one-series detector takes it.
+    Rows must have at least two bins and a non-zero sum.  Each row's
+    spread comes from one row-wise ``std``, which reduces every row in
+    the same order as the row's own ``std()``.
     """
     noise = matrix - rolling_mean(matrix, window)
-    hot = []
-    for row in noise:
-        spread = row.std()
-        hot.append(np.array([], dtype=np.int64) if spread == 0
-                   else np.flatnonzero(row > sigma * spread))
-    return hot
+    return [np.array([], dtype=np.int64) if spread == 0
+            else np.flatnonzero(row > sigma * spread)
+            for row, spread in zip(noise, noise.std(axis=1))]
 
 
 @dataclass

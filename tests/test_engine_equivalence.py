@@ -15,20 +15,25 @@ must perform exactly one presence-alignment pass per protocol
 
 from __future__ import annotations
 
+import sys
+import threading
+
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from repro.cli import main
+from repro.core import bootstrap
 from repro.core.bootstrap import (
+    SPLIT_MIN_DRAWS,
     _replicate_stats,
     coverage_difference_interval,
     coverage_interval,
     coverage_intervals,
 )
 from repro.core.classification import breakdown_by_origin, classify_misses
-from repro.core.dataset import align_ips
+from repro.core.dataset import TrialData, align_ips
 from repro.core.engine import (
     ENGINES,
     AnalysisContext,
@@ -47,7 +52,10 @@ from repro.core.multi_origin import (
     multi_origin_table,
     probe_origin_tradeoff,
 )
+from repro.core.records import L7Status
 from repro.core.report import full_report
+from repro.core.streaming import StreamingCampaignResult, StreamingTrial
+from repro.rng import CounterRNG
 from repro.sim.campaign import run_campaign
 from repro.sim.scenario import small_scenario
 from repro.telemetry.context import Telemetry, use
@@ -153,22 +161,163 @@ class TestBootstrapEquivalence:
             coverage_intervals(table, replicates=50, engine="reference")
 
     @settings(max_examples=40, deadline=None)
-    @given(n=st.one_of(st.sampled_from([1, 2, 3, 64, 4097]),
-                       st.integers(1, 20_000)),
+    @given(n=st.one_of(st.sampled_from([1, 2, 3, 64, 4097,
+                                        SPLIT_MIN_DRAWS - 1,
+                                        SPLIT_MIN_DRAWS, 40_009]),
+                       st.integers(1, 70_000)),
+           replicates=st.sampled_from([12, 13]),
+           cpus=st.integers(1, 4),
            seed=st.integers(0, 2 ** 32 - 1), boolean=st.booleans())
-    def test_replicate_stats_match_the_reference_draws(self, n, seed,
+    @example(n=SPLIT_MIN_DRAWS - 1, replicates=13, cpus=2, seed=1,
+             boolean=True)
+    @example(n=SPLIT_MIN_DRAWS, replicates=13, cpus=4, seed=2,
+             boolean=True)
+    @example(n=40_009, replicates=13, cpus=3, seed=3, boolean=False)
+    @example(n=70_000, replicates=12, cpus=2, seed=4, boolean=True)
+    def test_replicate_stats_match_the_reference_draws(self, n, replicates,
+                                                       cpus, seed,
                                                        boolean):
-        """The packed replicate loop (its own modulo, in place) against
-        the reference loop's ``draws % n`` indices, value for value."""
-        from repro.rng import CounterRNG
-
+        """The packed replicate loop (its own modulo, in place), split
+        or not, against the reference loop's ``draws % n`` indices,
+        value for value.  The CPU probe is forced, so the split into
+        1–4 parts runs on any host."""
         values = np.random.default_rng(seed).random(n)
         if boolean:
             values = values < 0.5
         rng = CounterRNG(seed, "bootstrap-coverage")
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(bootstrap, "_available_cpus", lambda: cpus)
+            packed = _replicate_stats(rng, values, n, replicates, "packed")
         np.testing.assert_array_equal(
-            _replicate_stats(rng, values, n, 12, "packed"),
-            _replicate_stats(rng, values, n, 12, "reference"))
+            packed, _replicate_stats(rng, values, n, replicates,
+                                     "reference"))
+
+    @pytest.mark.parametrize("n, cpus, parts", [
+        (SPLIT_MIN_DRAWS, 2, 2),
+        (SPLIT_MIN_DRAWS - 1, 2, 1),
+        (SPLIT_MIN_DRAWS, 1, 1),
+        (SPLIT_MIN_DRAWS, 16, 13),
+    ])
+    def test_replicates_split_one_part_per_cpu_from_the_threshold(
+            self, monkeypatch, n, cpus, parts):
+        """From ``SPLIT_MIN_DRAWS`` draws a replicate, the loop runs one
+        part per CPU (never more than the replicates) on as many
+        threads, the calling thread computing the first part itself;
+        below it, one part on the calling thread."""
+        started, part_threads = [], []
+
+        class CountingThread(threading.Thread):
+            def start(self):
+                started.append(self)
+                super().start()
+
+        part = bootstrap._replicate_part
+
+        def counting_part(*job):
+            part_threads.append(threading.get_ident())
+            part(*job)
+
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
+        monkeypatch.setattr(bootstrap, "Thread", CountingThread)
+        monkeypatch.setattr(bootstrap, "_replicate_part", counting_part)
+        values = np.random.default_rng(n).random(n) < 0.9
+        rng = CounterRNG(5, "bootstrap-coverage")
+        stats = _replicate_stats(rng, values, n, 13, "packed")
+        assert len(part_threads) == parts
+        assert len(started) == parts - 1
+        assert part_threads.count(threading.get_ident()) == 1
+        assert not any(thread.is_alive() for thread in started)
+        np.testing.assert_array_equal(
+            stats, _replicate_stats(rng, values, n, 13, "reference"))
+
+    def test_split_intervals_from_concurrent_callers(self, monkeypatch):
+        """Four callers, each splitting its own interval into four
+        parts, under a short switch interval: every interval equals the
+        one loop's."""
+        n = SPLIT_MIN_DRAWS + 4_001
+        inputs = [np.random.default_rng(seed).random(n) < 0.8
+                  for seed in range(4)]
+        rngs = [CounterRNG(seed, "bootstrap-coverage") for seed in range(4)]
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: 1)
+        serial = [_replicate_stats(rng, values, n, 21, "packed")
+                  for rng, values in zip(rngs, inputs)]
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: 4)
+        results = [None] * 4
+
+        def caller(i):
+            results[i] = _replicate_stats(rngs[i], inputs[i], n, 21,
+                                          "packed")
+
+        callers = [threading.Thread(target=caller, args=(i,))
+                   for i in range(4)]
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-5)
+        try:
+            for thread in callers:
+                thread.start()
+            for thread in callers:
+                thread.join(timeout=120)
+        finally:
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in callers)
+        for got, want in zip(results, serial):
+            np.testing.assert_array_equal(got, want)
+
+    def test_a_part_error_raises_in_the_caller(self, monkeypatch):
+        """``values`` shorter than ``n`` fails the gather in every part,
+        and a part failing on a started thread alone fails the call too:
+        the error reaches the caller once every part has stopped."""
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: 2)
+        n = SPLIT_MIN_DRAWS + 1
+        rng = CounterRNG(1, "bootstrap-coverage")
+        before = threading.active_count()
+        with pytest.raises(IndexError):
+            _replicate_stats(rng, np.ones(n // 2, dtype=bool), n, 12,
+                             "packed")
+        assert threading.active_count() == before
+
+        caller = threading.get_ident()
+        part = bootstrap._replicate_part
+
+        def failing_off_the_caller(*job):
+            if threading.get_ident() != caller:
+                raise IndexError("part failed on its own thread")
+            part(*job)
+
+        monkeypatch.setattr(bootstrap, "_replicate_part",
+                            failing_off_the_caller)
+        with pytest.raises(IndexError, match="on its own thread"):
+            _replicate_stats(rng, np.ones(n, dtype=bool), n, 12, "packed")
+        assert threading.active_count() == before
+
+    def test_streamed_interval_above_the_split_threshold(self,
+                                                         monkeypatch):
+        """The streamed interval equals the dataset's at n ≥ 2**15 too,
+        where both split the replicates (2 CPUs forced)."""
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: 2)
+        n_hosts = 50_021
+        gen = np.random.default_rng(8)
+        origins = ["AU", "DE"]
+        l7 = np.where(gen.random((2, n_hosts)) < 0.85,
+                      int(L7Status.SUCCESS),
+                      int(L7Status.NO_L4)).astype(np.uint8)
+        table = TrialData(
+            protocol="http", trial=1, origins=origins,
+            ip=np.arange(n_hosts, dtype=np.uint32) * 3 + 7,
+            as_index=gen.integers(0, 40, n_hosts),
+            country_index=np.zeros(n_hosts, dtype=np.int64),
+            geo_index=np.zeros(n_hosts, dtype=np.int64),
+            probe_mask=np.full((2, n_hosts), 3, dtype=np.uint8),
+            l7=l7, time=np.zeros((2, n_hosts), dtype=np.float32))
+        assert int(table.ground_truth().sum()) >= SPLIT_MIN_DRAWS
+        streaming = StreamingTrial(protocol="http", trial=1, n_ases=40)
+        for lo, hi in ((0, 17_003), (17_003, 31_337), (31_337, n_hosts)):
+            streaming.add_shard(_host_slice(table, lo, hi))
+        result = StreamingCampaignResult({("http", 1): streaming})
+        for origin in origins:
+            assert result.coverage_interval(
+                "http", 1, origin, replicates=40, seed=9) == \
+                coverage_interval(table, origin, replicates=40, seed=9)
 
     def test_single_probe_interval(self, seeded_campaign):
         ds = seeded_campaign
@@ -179,6 +328,17 @@ class TestBootstrapEquivalence:
                                  single_probe=True, engine="packed") == \
             coverage_interval(table, origin, replicates=50,
                               single_probe=True, engine="reference")
+
+
+def _host_slice(table, lo, hi):
+    """Rows ``lo:hi`` of ``table``, as one shard of it."""
+    return TrialData(
+        protocol=table.protocol, trial=table.trial, origins=table.origins,
+        ip=table.ip[lo:hi], as_index=table.as_index[lo:hi],
+        country_index=table.country_index[lo:hi],
+        geo_index=table.geo_index[lo:hi],
+        probe_mask=table.probe_mask[:, lo:hi], l7=table.l7[:, lo:hi],
+        time=table.time[:, lo:hi], n_probes=table.n_probes)
 
 
 # ----------------------------------------------------------------------

@@ -18,7 +18,14 @@ from repro.conditions.outages import (
     BurstOutageSpec,
     _poisson_counts,
 )
-from repro.core.bursts import burst_report, detect_burst_bins, rolling_mean
+from repro.core.bursts import (
+    SIGMA_THRESHOLD,
+    SMOOTH_WINDOW_BINS,
+    _hot_bins,
+    burst_report,
+    detect_burst_bins,
+    rolling_mean,
+)
 from repro.core.classification import Classification, MissCategory
 from repro.rng import CounterRNG
 from tests import loop_oracle
@@ -310,6 +317,27 @@ class TestRollingMean:
         series = np.asarray(series, dtype=np.float64)
         assert detect_burst_bins(series).tobytes() \
             == loop_oracle.detect_burst_bins(series).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2 ** 32 - 1), rows=st.integers(1, 59),
+           bins=st.integers(2, 199), rate=st.floats(0.05, 8.0),
+           sigma=st.sampled_from([0.5, 1.0, SIGMA_THRESHOLD]))
+    def test_hot_bins_match_one_series_each(self, seed, rows, bins, rate,
+                                            sigma):
+        """The matrix detector's row-wise spread against one ``std()``
+        per series, over Poisson count matrices like §5.3's."""
+        matrix = np.random.default_rng(seed).poisson(
+            rate, (rows, bins)).astype(np.float64)
+        matrix = matrix[matrix.sum(axis=1) > 0]
+        # The identity the row-wise spread rests on, to the last bit.
+        noise = matrix - rolling_mean(matrix, SMOOTH_WINDOW_BINS)
+        assert noise.std(axis=1).tobytes() \
+            == np.array([row.std() for row in noise]).tobytes()
+        hot = _hot_bins(matrix, SMOOTH_WINDOW_BINS, sigma)
+        assert len(hot) == len(matrix)
+        for row, got in zip(matrix, hot):
+            assert got.tobytes() == loop_oracle.detect_burst_bins(
+                row, SMOOTH_WINDOW_BINS, sigma).tobytes()
 
 
 def _report_bytes(report):
