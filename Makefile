@@ -3,8 +3,8 @@
 
 .PHONY: install test test-parallel test-serve test-shard test-batch bench \
 	bench-show bench-analysis bench-io bench-serve bench-scale \
-	bench-incremental bench-diff perfbench serve profile trace \
-	examples report all
+	bench-incremental bench-diff perfbench importtime serve profile \
+	trace examples report all
 
 # Every target runs against this checkout's sources, installed or not;
 # commands and the subprocesses they start inherit the export.
@@ -106,6 +106,14 @@ TRACE ?= 0
 perfbench:
 	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
 		--seconds 30 --trace $(TRACE)
+
+# The 15 costliest imports (cumulative microseconds) of the CLI, the
+# sharded pipeline and the server.  Every process that imports repro
+# pays for a heavy dependency imported at module level, so none should
+# appear here: scipy.stats, for one, loads on first use.
+importtime:
+	python -X importtime -c "import repro.cli, repro.sim.shard, repro.serve" \
+		2>&1 | sort -t'|' -k2 -n -r | head -15
 
 # Run the campaign service in the foreground (Ctrl-C drains).
 serve:

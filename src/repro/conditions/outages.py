@@ -103,36 +103,47 @@ class BurstOutageModel:
         """Draw and cache the windows of ``as_indices`` in one trial.
 
         Each (AS, origin) stream's Poisson count is drawn for all ASes
-        at once; only the few non-zero counts go on to the scalar draws
-        of start, length and (for shared events) the origin subset.
+        at once, and so are the start and length uniforms of every
+        single-origin event; only the exponential lengths and the shared
+        events (start, length, origin subset) are drawn per event.
         Every draw is a pure function of its stream, so two threads
         filling the same AS at once store equal windows.
         """
         ases = np.asarray(as_indices, dtype=np.int64)
         root = np.full(len(ases), self._rng.key, dtype=np.uint64)
         single = fold_keys(root, "single", ases, trial)
-        counts = np.empty((len(ases), len(self.origin_names)),
-                          dtype=np.int64)
+        shape = (len(ases), len(self.origin_names))
+        streams = np.empty(shape, dtype=np.uint64)
+        counts = np.empty(shape, dtype=np.int64)
         for oi, origin in enumerate(self.origin_names):
+            streams[:, oi] = fold_keys(single, origin)
             counts[:, oi] = _poisson_counts(
-                fold_uniform(fold_keys(single, origin), "poisson"),
+                fold_uniform(streams[:, oi], "poisson"),
                 np.array([spec.rate_for(origin) for spec in specs]))
         shared = _poisson_counts(
             fold_uniform(fold_keys(root, "shared", ases, trial), "poisson"),
             np.array([spec.shared_events_per_trial for spec in specs]))
 
-        drawn = {(int(as_index), trial): [] for as_index in as_indices}
+        # Every single-origin event in (AS, origin, k) order, where event
+        # k of a stream draws its start and length at counter k.
         duration = self.scan_duration_s
+        per_stream = counts.ravel()
+        keys = np.repeat(streams.ravel(), per_stream)
+        ks = np.arange(len(keys)) - np.repeat(
+            np.cumsum(per_stream) - per_stream, per_stream)
+        events = zip((fold_uniform(keys, "start", ks) * duration).tolist(),
+                     fold_uniform(keys, "len", ks).tolist())
+
+        drawn = {(int(as_index), trial): [] for as_index in as_indices}
         for i in np.flatnonzero(counts.any(axis=1) | (shared > 0)):
             as_index = int(ases[i])
             mean = specs[i].duration_mean_s
             out = drawn[(as_index, trial)]
             for oi in np.flatnonzero(counts[i]):
                 origin = self.origin_names[oi]
-                sub = self._rng.derive("single", as_index, trial, origin)
-                for k in range(int(counts[i, oi])):
-                    start = sub.uniform("start", k) * duration
-                    length = sub.exponential(mean, "len", k)
+                for _ in range(int(counts[i, oi])):
+                    start, u = next(events)
+                    length = -mean * float(np.log1p(-u))
                     out.append(Outage(as_index, origin, trial, start,
                                       min(start + length, duration)))
             sub = self._rng.derive("shared", as_index, trial)

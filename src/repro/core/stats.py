@@ -6,7 +6,11 @@
   drop-vs-loss correlations).
 
 McNemar and Spearman are implemented directly (the math is a dozen lines
-each); only the chi-squared and t survival functions come from scipy.
+each); only the chi-squared, binomial and t distributions come from
+scipy.  ``scipy.stats`` is imported by the functions that call it, not
+by this module: it costs about a second and 60 MB, and most processes
+that import :mod:`repro` (a sharded grid, the CLI's simulate) never run
+a test.
 """
 
 from __future__ import annotations
@@ -16,7 +20,6 @@ from dataclasses import dataclass
 from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy import stats as _scipy_stats
 
 from repro.core.dataset import CampaignDataset, TrialData
 
@@ -48,8 +51,10 @@ def mcnemar(b: int, c: int) -> Tuple[float, float]:
     n = b + c
     if n == 0:
         return 0.0, 1.0
+    from scipy import stats
+
     statistic = (abs(b - c) - 1) ** 2 / n
-    p_value = float(_scipy_stats.chi2.sf(statistic, df=1))
+    p_value = float(stats.chi2.sf(statistic, df=1))
     return statistic, p_value
 
 
@@ -58,9 +63,11 @@ def mcnemar_exact(b: int, c: int) -> float:
     n = b + c
     if n == 0:
         return 1.0
+    from scipy import stats
+
     k = min(b, c)
     # Two-sided exact binomial test at p = 0.5.
-    cdf = float(_scipy_stats.binom.cdf(k, n, 0.5))
+    cdf = float(stats.binom.cdf(k, n, 0.5))
     return min(1.0, 2.0 * cdf)
 
 
@@ -128,10 +135,12 @@ def spearman(x: np.ndarray, y: np.ndarray) -> Tuple[float, float]:
     if denom == 0:
         return float("nan"), float("nan")
     rho = float((rx * ry).sum() / denom)
+    from scipy import stats
+
     # t-approximation for the null distribution.
     rho_clamped = min(max(rho, -0.9999999), 0.9999999)
     t = rho_clamped * np.sqrt((n - 2) / (1.0 - rho_clamped ** 2))
-    p = float(2.0 * _scipy_stats.t.sf(abs(t), df=n - 2))
+    p = float(2.0 * stats.t.sf(abs(t), df=n - 2))
     return rho, p
 
 

@@ -52,13 +52,34 @@ def _fold_part(state: int, part: KeyPart) -> int:
     raise TypeError(f"RNG key parts must be int or str, got {type(part)!r}")
 
 
+def weighted_pick(items: Sequence, weights: Sequence[float], u: float):
+    """The element of ``items`` that the uniform ``u`` in [0, 1) selects.
+
+    :meth:`CounterRNG.weighted_choice` for a uniform drawn elsewhere (e.g.
+    one element of :func:`fold_uniform`): ``u`` scales the weights' total
+    and a running sum walks the items, so the same ``u`` picks the same
+    element.
+    """
+    target = u * float(sum(weights))
+    acc = 0.0
+    for item, weight in zip(items, weights):
+        acc += weight
+        if target < acc:
+            return item
+    return items[-1]
+
+
 def _mix_array(x: np.ndarray) -> np.ndarray:
-    """Vectorized splitmix64 finalization over a uint64 array."""
-    x = (x + np.uint64(_GOLDEN)).astype(np.uint64)
+    """Vectorized splitmix64 finalization over a uint64 array.
+
+    Returns a new array and leaves ``x`` as it was: the first addition
+    allocates the result, and every later step works on it in place.
+    """
+    x = x + np.uint64(_GOLDEN)
     x ^= x >> np.uint64(30)
-    x = (x * np.uint64(_MIX1)).astype(np.uint64)
+    x *= np.uint64(_MIX1)
     x ^= x >> np.uint64(27)
-    x = (x * np.uint64(_MIX2)).astype(np.uint64)
+    x *= np.uint64(_MIX2)
     x ^= x >> np.uint64(31)
     return x
 
@@ -144,16 +165,9 @@ class CounterRNG:
         """One element of ``items`` chosen with the given weights."""
         if len(items) != len(weights):
             raise ValueError("items and weights must have equal length")
-        total = float(sum(weights))
-        if total <= 0.0:
+        if float(sum(weights)) <= 0.0:
             raise ValueError("weights must sum to a positive value")
-        target = self.uniform(*counters) * total
-        acc = 0.0
-        for item, weight in zip(items, weights):
-            acc += weight
-            if target < acc:
-                return item
-        return items[-1]
+        return weighted_pick(items, weights, self.uniform(*counters))
 
     def shuffled(self, items: Iterable, *counters: int) -> list:
         """A deterministically shuffled copy of ``items``."""
@@ -281,13 +295,24 @@ def fold_keys(keys: np.ndarray, *stream) -> np.ndarray:
     return state
 
 
-def fold_uniform(keys: np.ndarray, *counters: KeyPart) -> np.ndarray:
+def fold_bits(keys: np.ndarray, *counters) -> np.ndarray:
+    """:meth:`CounterRNG.bits` over an array of stream keys.
+
+    Element *i* is ``bits(*counters)`` of the stream keyed ``keys[i]``;
+    ``counters`` are folded as by :func:`fold_keys`, so an integer array
+    counter gives element *i* its own counter.
+    """
+    return _mix_array(fold_keys(keys, *counters))
+
+
+def fold_uniform(keys: np.ndarray, *counters) -> np.ndarray:
     """:meth:`CounterRNG.uniform` over an array of stream keys.
 
     Element *i* is ``uniform(*counters)`` of the stream keyed ``keys[i]``;
-    ``counters`` may be strs as well as ints, as in the scalar draw.
+    ``counters`` may be strs as well as ints, as in the scalar draw, or
+    integer arrays as in :func:`fold_keys`.
     """
-    bits = _mix_array(fold_keys(keys, *counters))
+    bits = fold_bits(keys, *counters)
     return (bits >> np.uint64(11)).astype(np.float64) * (1.0 / (1 << 53))
 
 

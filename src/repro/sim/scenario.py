@@ -20,6 +20,8 @@ import math
 import os
 from typing import Dict, List, Optional, Sequence, Tuple, Union
 
+import numpy as np
+
 from repro.blocking.firewall import ReputationFirewallSpec, StaticBlockSpec
 from repro.blocking.flaky import L7FlakySpec
 from repro.blocking.ids import RateIDSSpec
@@ -31,7 +33,7 @@ from repro.conditions.outages import BurstOutageSpec
 from repro.hosts.churn import ChurnSpec
 from repro.hosts.population import populate
 from repro.origins import Origin, followup_origins, paper_origins
-from repro.rng import CounterRNG
+from repro.rng import CounterRNG, fold_bits, fold_uniform, weighted_pick
 from repro.scanner.zmap import ZMapConfig
 from repro.sim.world import World, WorldDefaults
 from repro.topology.asn import ASKind, ASSpec
@@ -480,8 +482,7 @@ def _background_specs(scale: float, named: Sequence[ASSpec],
         for proto, total in PROTOCOL_TOTALS.items()
     }
 
-    specs: List[ASSpec] = []
-    origin_pool = ("AU", "BR", "DE", "JP", "US1", "US64", "CEN")
+    countries = []
     for country, share in COUNTRY_SHARES.items():
         country_http = PROTOCOL_TOTALS["http"] * scale * share / share_total
         remaining = {}
@@ -491,40 +492,61 @@ def _background_specs(scale: float, named: Sequence[ASSpec],
             remaining[proto] = max(0.0, want - have)
         if sum(remaining.values()) < 4:
             continue
-
         n_as = max(1, min(40, round(remaining["http"] / 55) + 1))
+        countries.append((country, remaining, n_as))
+
+    # AS i of a country draws rng.derive("bg", country).uniform(name, i)
+    # from each stream (.bits for the grudges); every country's draws of
+    # one stream are one array, in country order.
+    sizes = [n_as for _, _, n_as in countries]
+    keys = np.repeat(np.array([rng.derive("bg", country).key
+                               for country, _, _ in countries],
+                              dtype=np.uint64), sizes)
+    index = np.arange(len(keys)) - np.repeat(np.cumsum(sizes) - sizes,
+                                             sizes)
+    u = {name: fold_uniform(keys, name, index).tolist()
+         for name in ("kind", "behaviour", "cov", "grudge-two",
+                      "loss-mult", "rand-noise", "au-bad")}
+    grudge1 = fold_bits(keys, "grudge1", index).tolist()
+    grudge2 = fold_bits(keys, "grudge2", index).tolist()
+
+    specs: List[ASSpec] = []
+    origin_pool = ("AU", "BR", "DE", "JP", "US1", "US64", "CEN")
+    first = 0
+    for country, remaining, n_as in countries:
         weights = [1.0 / (i + 1) for i in range(n_as)]
         weight_total = sum(weights)
-        sub = rng.derive("bg", country)
         for i in range(n_as):
+            j = first + i
             frac = weights[i] / weight_total
             hosts = {proto: max(0, round(remaining[proto] * frac))
                      for proto in remaining}
             hosts = {p: c for p, c in hosts.items() if c > 0}
             if not hosts:
                 continue
-            kind = sub.weighted_choice(
+            kind = weighted_pick(
                 (ASKind.ISP, ASKind.HOSTING, ASKind.ENTERPRISE,
                  ASKind.ACADEMIC, ASKind.GOVERNMENT),
-                (0.4, 0.35, 0.15, 0.05, 0.05), "kind", i)
-            spec_kwargs = {"path_loss": _jittered_loss(sub, i)}
-            roll = sub.uniform("behaviour", i)
+                (0.4, 0.35, 0.15, 0.05, 0.05), u["kind"][j])
+            spec_kwargs = {"path_loss": _jittered_loss(
+                u["loss-mult"][j], u["rand-noise"][j],
+                u["au-bad"][j] < 0.12)}
+            roll = u["behaviour"][j]
             if roll < 0.025:
                 # Generic Censys-blocking network.
                 spec_kwargs["reputation_firewall"] = ReputationFirewallSpec(
                     min_reputation=100.0,
-                    coverage=0.4 + 0.6 * sub.uniform("cov", i))
+                    coverage=0.4 + 0.6 * u["cov"][j])
             elif roll < 0.029:
                 # Blocks every origin range with *any* scanning history.
                 spec_kwargs["reputation_firewall"] = ReputationFirewallSpec(
                     min_reputation=1.0,
-                    coverage=0.5 + 0.5 * sub.uniform("cov", i))
+                    coverage=0.5 + 0.5 * u["cov"][j])
             elif roll < 0.040:
                 # Arbitrary grudge against one or two specific origins.
-                first = sub.choice(origin_pool, "grudge1", i)
-                blocked = {first}
-                if sub.bernoulli(0.4, "grudge-two", i):
-                    blocked.add(sub.choice(origin_pool, "grudge2", i))
+                blocked = {origin_pool[grudge1[j] % len(origin_pool)]}
+                if u["grudge-two"][j] < 0.4:
+                    blocked.add(origin_pool[grudge2[j] % len(origin_pool)])
                 spec_kwargs["static_block"] = StaticBlockSpec(
                     origins=frozenset(blocked))
             elif roll < 0.050 and kind is ASKind.HOSTING:
@@ -535,10 +557,12 @@ def _background_specs(scale: float, named: Sequence[ASSpec],
             specs.append(ASSpec(
                 f"{country} Network {i + 1:02d}", country, kind,
                 hosts=hosts, **spec_kwargs))
+        first += n_as
     return specs
 
 
-def _jittered_loss(rng: CounterRNG, index: int) -> PathLossSpec:
+def _jittered_loss(mult_u: float, noise_u: float,
+                   au_bad: bool) -> PathLossSpec:
     """A per-AS variation of :data:`DEFAULT_LOSS`.
 
     Real networks differ: some paths are chronically lossier in *both* the
@@ -546,14 +570,14 @@ def _jittered_loss(rng: CounterRNG, index: int) -> PathLossSpec:
     lognormal-ish and the random multiplier follows it sub-linearly plus
     noise, which is what gives the §5.2 moderate (ρ ≈ 0.4–0.5) rank
     correlation between estimated drop and transient loss across ASes.  A
-    small slice of networks is additionally much worse from Australia,
-    feeding Figure 11's consistent-worst population.
+    small slice of networks (``au_bad``) is additionally much worse from
+    Australia, feeding Figure 11's consistent-worst population.
+    ``mult_u`` and ``noise_u`` are the AS's uniforms in [0, 1).
     """
-    u = rng.uniform("loss-mult", index)
-    epoch_mult = 0.28 * math.exp(2.7 * u)          # roughly 0.28x - 4.2x
-    noise = 0.75 + 0.5 * rng.uniform("rand-noise", index)
+    epoch_mult = 0.28 * math.exp(2.7 * mult_u)     # roughly 0.28x - 4.2x
+    noise = 0.75 + 0.5 * noise_u
     random_mult = (epoch_mult ** 0.9) * noise
-    au_penalty = 6.0 if rng.bernoulli(0.12, "au-bad", index) else 1.0
+    au_penalty = 6.0 if au_bad else 1.0
 
     def scaled(draw: LossDraw, origin_key: str) -> LossDraw:
         au = au_penalty if origin_key == "AU" else 1.0

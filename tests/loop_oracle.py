@@ -1,21 +1,27 @@
-"""Per-element reference loops for three array computations.
+"""Per-element reference loops for four array computations.
 
 Figure 2's /24 split (:meth:`Classification.network_split`), the
-burst-outage window draws (:class:`BurstOutageModel`) and the §5.3 burst
-detector (:func:`repro.core.bursts.burst_report`) run as array code in
-``src/``.  This module keeps the straightforward formulations they
-replaced: one Python iteration per /24 block, per (AS, origin) Poisson
-draw, per window position and per AS series.  It lives under ``tests/``
-so that no production path can reach it; the differential suite
+burst-outage window draws (:class:`BurstOutageModel`), the §5.3 burst
+detector (:func:`repro.core.bursts.burst_report`) and the paper world's
+background AS specs (:func:`repro.sim.scenario.paper_specs`) run as
+array code in ``src/``.  This module keeps the straightforward
+formulations they replaced: one Python iteration per /24 block, per
+(AS, origin) Poisson draw and window event, per window position, per AS
+series and per background-AS draw.  It lives under ``tests/`` so that
+no production path can reach it; the differential suite
 (``tests/test_loop_equivalence.py``) compares the two byte for byte.
 """
 
 from __future__ import annotations
 
+import math
 from typing import Dict, List, Optional, Sequence
 
 import numpy as np
 
+from repro.blocking.firewall import ReputationFirewallSpec, StaticBlockSpec
+from repro.blocking.flaky import L7FlakySpec
+from repro.conditions.loss import LossDraw, PathLossSpec
 from repro.conditions.outages import BurstOutageModel, BurstOutageSpec, Outage
 from repro.core.bursts import (
     BIN_SECONDS,
@@ -33,6 +39,13 @@ from repro.core.dataset import CampaignDataset, align_ips
 from repro.core.engine import AnalysisContext
 from repro.net.ipv4 import slash24_array
 from repro.rng import CounterRNG
+from repro.sim.scenario import (
+    COUNTRY_SHARES,
+    DEFAULT_LOSS,
+    PROTOCOL_TOTALS,
+    _named_specs,
+)
+from repro.topology.asn import ASKind, ASSpec
 
 
 # ----------------------------------------------------------------------
@@ -237,3 +250,107 @@ def burst_report(dataset: CampaignDataset, protocol: str,
         burst_coincident=burst_coincident,
         ases_with_transient=len(transient_as),
         ases_with_burst=len(burst_as))
+
+
+# ----------------------------------------------------------------------
+# The paper world's background AS specs
+# ----------------------------------------------------------------------
+
+def paper_specs(seed: int = 0, scale: float = 1.0) -> List[ASSpec]:
+    """:func:`repro.sim.scenario.paper_specs`, one scalar draw at a time."""
+    rng = CounterRNG(seed, "scenario")
+    named = _named_specs(scale)
+    return named + background_specs(scale, named, rng)
+
+
+def background_specs(scale: float, named: Sequence[ASSpec],
+                     rng: CounterRNG) -> List[ASSpec]:
+    """``repro.sim.scenario._background_specs``, drawing per AS."""
+    taken: Dict[str, Dict[str, float]] = {}
+    for spec in named:
+        by_proto = taken.setdefault(spec.country, {})
+        for proto, count in spec.hosts.items():
+            by_proto[proto] = by_proto.get(proto, 0) + count
+
+    share_total = sum(COUNTRY_SHARES.values())
+    protocol_ratio = {
+        proto: total / PROTOCOL_TOTALS["http"]
+        for proto, total in PROTOCOL_TOTALS.items()
+    }
+
+    specs: List[ASSpec] = []
+    origin_pool = ("AU", "BR", "DE", "JP", "US1", "US64", "CEN")
+    for country, share in COUNTRY_SHARES.items():
+        country_http = PROTOCOL_TOTALS["http"] * scale * share / share_total
+        remaining = {}
+        for proto, ratio in protocol_ratio.items():
+            want = country_http * ratio
+            have = taken.get(country, {}).get(proto, 0)
+            remaining[proto] = max(0.0, want - have)
+        if sum(remaining.values()) < 4:
+            continue
+
+        n_as = max(1, min(40, round(remaining["http"] / 55) + 1))
+        weights = [1.0 / (i + 1) for i in range(n_as)]
+        weight_total = sum(weights)
+        sub = rng.derive("bg", country)
+        for i in range(n_as):
+            frac = weights[i] / weight_total
+            hosts = {proto: max(0, round(remaining[proto] * frac))
+                     for proto in remaining}
+            hosts = {p: c for p, c in hosts.items() if c > 0}
+            if not hosts:
+                continue
+            kind = sub.weighted_choice(
+                (ASKind.ISP, ASKind.HOSTING, ASKind.ENTERPRISE,
+                 ASKind.ACADEMIC, ASKind.GOVERNMENT),
+                (0.4, 0.35, 0.15, 0.05, 0.05), "kind", i)
+            spec_kwargs = {"path_loss": jittered_loss(sub, i)}
+            roll = sub.uniform("behaviour", i)
+            if roll < 0.025:
+                spec_kwargs["reputation_firewall"] = ReputationFirewallSpec(
+                    min_reputation=100.0,
+                    coverage=0.4 + 0.6 * sub.uniform("cov", i))
+            elif roll < 0.029:
+                spec_kwargs["reputation_firewall"] = ReputationFirewallSpec(
+                    min_reputation=1.0,
+                    coverage=0.5 + 0.5 * sub.uniform("cov", i))
+            elif roll < 0.040:
+                first = sub.choice(origin_pool, "grudge1", i)
+                blocked = {first}
+                if sub.bernoulli(0.4, "grudge-two", i):
+                    blocked.add(sub.choice(origin_pool, "grudge2", i))
+                spec_kwargs["static_block"] = StaticBlockSpec(
+                    origins=frozenset(blocked))
+            elif roll < 0.050 and kind is ASKind.HOSTING:
+                spec_kwargs["l7_flaky"] = L7FlakySpec(
+                    flaky_fraction=0.06, fail_prob=0.3, drop_share=0.7,
+                    dead_fraction=0.004)
+            specs.append(ASSpec(
+                f"{country} Network {i + 1:02d}", country, kind,
+                hosts=hosts, **spec_kwargs))
+    return specs
+
+
+def jittered_loss(rng: CounterRNG, index: int) -> PathLossSpec:
+    """``repro.sim.scenario._jittered_loss`` with its own scalar draws."""
+    u = rng.uniform("loss-mult", index)
+    epoch_mult = 0.28 * math.exp(2.7 * u)
+    noise = 0.75 + 0.5 * rng.uniform("rand-noise", index)
+    random_mult = (epoch_mult ** 0.9) * noise
+    au_penalty = 6.0 if rng.bernoulli(0.12, "au-bad", index) else 1.0
+
+    def scaled(draw: LossDraw, origin_key: str) -> LossDraw:
+        au = au_penalty if origin_key == "AU" else 1.0
+        return LossDraw(
+            epoch_rate=min(0.5, draw.epoch_rate * epoch_mult * au),
+            random_rate=min(0.2, draw.random_rate * random_mult
+                            * (au if au > 1 else 1.0)),
+            persistent_fraction=min(
+                0.1, draw.persistent_fraction * epoch_mult ** 0.5),
+            variability=draw.variability)
+
+    per_origin = {key: scaled(draw, key)
+                  for key, draw in DEFAULT_LOSS.per_origin.items()}
+    return PathLossSpec(default=scaled(DEFAULT_LOSS.default, ""),
+                        per_origin=per_origin)

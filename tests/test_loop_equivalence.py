@@ -1,9 +1,10 @@
 """Array code against the per-element loops it replaced, byte for byte.
 
-Figure 2's /24 split, the burst-outage window draws and the §5.3 burst
-detector each run as array code; ``tests/loop_oracle.py`` keeps the
-loop formulations.  Every comparison here is exact: floats compare by
-their bytes, lists and events in order.
+Figure 2's /24 split, the burst-outage window draws, the §5.3 burst
+detector and the paper world's background AS specs each run as array
+code; ``tests/loop_oracle.py`` keeps the loop formulations.  Every
+comparison here is exact: floats compare by their bytes, lists and
+events in order, spec lists by value and by their world key.
 """
 
 from __future__ import annotations
@@ -27,7 +28,10 @@ from repro.core.bursts import (
     rolling_mean,
 )
 from repro.core.classification import Classification, MissCategory
+from repro.io.worldcache import world_key
 from repro.rng import CounterRNG
+from repro.sim.scenario import paper_defaults, paper_scenario, paper_specs
+from repro.topology.geo import default_countries
 from tests import loop_oracle
 from tests.conftest import make_campaign, make_trial
 
@@ -249,6 +253,37 @@ class TestOutageWindows:
                 assert _window_bytes(model.windows(a, spec, trial)) \
                     == _window_bytes(expected[a])
 
+    @pytest.mark.parametrize("rates", ["paper", "high"])
+    @pytest.mark.parametrize("scale", [0.2, 1.0])
+    @pytest.mark.parametrize("seed", [0, 3, 8])
+    def test_paper_worlds(self, seed, scale, rates):
+        """Every AS's windows over three trials of a paper world, filled
+        by one ``active_windows`` call per trial; ``high`` gives every AS
+        rates at which most (AS, origin) streams draw several events."""
+        world, origins, config = paper_scenario(seed=seed, scale=scale)
+        names = tuple(o.name for o in origins)
+        specs_by_as = world.outage_specs()
+        if rates == "high":
+            hot = BurstOutageSpec(events_per_origin_trial=2.0,
+                                  shared_events_per_trial=0.5,
+                                  duration_mean_s=2700.0,
+                                  origin_multipliers={"AU": 2.5})
+            specs_by_as = {a: hot for a in specs_by_as}
+        model = BurstOutageModel(CounterRNG(seed, "paper-windows"), names,
+                                 config.scan_duration_s)
+        streams_with_repeats = 0
+        for trial in range(3):
+            model.active_windows(names[0], trial, specs_by_as)
+            for a, spec in specs_by_as.items():
+                expected = loop_oracle.windows(model, a, spec, trial)
+                assert _window_bytes(model.windows(a, spec, trial)) \
+                    == _window_bytes(expected)
+                per_origin = [w.origin_name for w in expected]
+                streams_with_repeats += sum(
+                    per_origin.count(o) >= 2 for o in names)
+        if rates == "high":
+            assert streams_with_repeats >= len(specs_by_as)
+
     def test_model_shared_by_with_hosts_copies(self, small_world,
                                                monkeypatch):
         """Copies that share one model fill it once, in any order."""
@@ -277,6 +312,34 @@ class TestOutageWindows:
                                                specs_by_as))
         assert sorted(fills) == sorted(
             (a, trial) for trial in range(2) for a in specs_by_as)
+
+
+# ----------------------------------------------------------------------
+# The paper world's background AS specs
+# ----------------------------------------------------------------------
+
+class TestPaperSpecs:
+    @pytest.mark.parametrize("scale", [0.04, 0.2, 1.0, 2.0])
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_specs_and_world_key_match(self, seed, scale):
+        specs = paper_specs(seed, scale)
+        expected = loop_oracle.paper_specs(seed, scale)
+        assert specs == expected
+        defaults, countries = paper_defaults(), default_countries()
+        assert world_key(specs, seed, defaults, countries) \
+            == world_key(expected, seed, defaults, countries)
+
+    def test_every_background_behaviour_is_drawn(self):
+        """Scale 2.0 reaches every branch the comparisons above cover."""
+        specs = paper_specs(0, 2.0)
+        background = [s for s in specs if " Network " in s.name]
+        assert len(background) > 800
+        assert any(s.static_block is not None
+                   and len(s.static_block.origins) == 2
+                   for s in background)
+        assert {s.reputation_firewall.min_reputation for s in background
+                if s.reputation_firewall is not None} == {1.0, 100.0}
+        assert any(s.l7_flaky is not None for s in background)
 
 
 # ----------------------------------------------------------------------

@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.rng import (CounterRNG, fold_keys, fold_uniform,
-                       scalar_matches_vector)
+from repro.rng import (CounterRNG, _mix_array, _mix_scalar, fold_bits,
+                       fold_keys, fold_uniform, scalar_matches_vector)
 
 
 class TestDeterminism:
@@ -76,6 +76,42 @@ class TestFoldKeys:
         drawn = fold_uniform(keys, "start", k)
         assert drawn.tobytes() == np.array(
             [rng.derive(i).uniform("start", k) for i in ids]).tobytes()
+
+    @settings(max_examples=100, deadline=None)
+    @given(seed=st.integers(0, 2**64 - 1),
+           ids=st.lists(st.integers(0, 2**40), min_size=0, max_size=20),
+           name=st.text(max_size=6))
+    def test_fold_bits_with_an_array_counter_matches_bits(self, seed, ids,
+                                                          name):
+        rng = CounterRNG(seed, "root")
+        keys = np.full(len(ids), rng.key, dtype=np.uint64)
+        drawn = fold_bits(keys, name, np.array(ids, dtype=np.int64))
+        assert drawn.dtype == np.uint64
+        assert drawn.tolist() == [rng.bits(name, i) for i in ids]
+
+
+class TestMixArray:
+    @settings(max_examples=200, deadline=None)
+    @given(values=st.lists(st.integers(0, 2**64 - 1), min_size=0,
+                           max_size=64))
+    def test_matches_scalar_mix_and_leaves_input_alone(self, values):
+        x = np.array(values, dtype=np.uint64)
+        before = x.copy()
+        mixed = _mix_array(x)
+        assert mixed.dtype == np.uint64
+        assert mixed.tolist() == [_mix_scalar(v) for v in values]
+        assert x.tobytes() == before.tobytes()
+        assert len(values) == 0 or not np.shares_memory(mixed, x)
+
+    def test_two_dimensional_input(self):
+        x = np.arange(12, dtype=np.uint64).reshape(3, 4) * np.uint64(
+            0x9E3779B97F4A7C15)
+        before = x.copy()
+        mixed = _mix_array(x)
+        assert mixed.shape == (3, 4)
+        assert mixed.ravel().tolist() == [
+            _mix_scalar(int(v)) for v in before.ravel()]
+        assert np.array_equal(x, before)
 
 
 class TestScalarVectorAgreement:
