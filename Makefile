@@ -3,8 +3,8 @@
 
 .PHONY: install test test-parallel test-serve test-shard test-batch bench \
 	bench-show bench-analysis bench-io bench-serve bench-scale \
-	bench-incremental bench-diff perfbench importtime serve profile \
-	trace examples report all
+	bench-incremental bench-diff perfbench perfpairs importtime serve \
+	profile trace examples report all
 
 # Every target runs against this checkout's sources, installed or not;
 # commands and the subprocesses they start inherit the export.
@@ -107,10 +107,23 @@ perfbench:
 	python3 perfbench/run.py --workload $(WORKLOAD) --seed $(SEED) \
 		--seconds 30 --trace $(TRACE)
 
+# Untraced perfbench pairs of WORKLOAD against another checkout (PARENT,
+# e.g. a clone of the parent commit), one per seed in SEEDS, alternating
+# which side runs first.  Every run is appended to PAIRS_OUT; the
+# summary prints each metric's pairs, medians and quartiles, win count
+# and whether the median gap exceeds the parent's IQR, e.g.
+#   make perfpairs PARENT=../parent WORKLOAD=serve_mix SEEDS="0 14 15"
+PARENT ?=
+SEEDS ?= 0 1 2 3 4 5 6 7 8 9
+PAIRS_OUT ?= perfpairs.jsonl
+perfpairs:
+	python3 scripts/perfpairs.py --parent "$(PARENT)" \
+		--workload $(WORKLOAD) --seeds $(SEEDS) --out $(PAIRS_OUT)
+
 # The 15 costliest imports (cumulative microseconds) of the CLI, the
 # sharded pipeline and the server.  Every process that imports repro
 # pays for a heavy dependency imported at module level, so none should
-# appear here: scipy.stats, for one, loads on first use.
+# appear here: scipy.special and scipy.stats, for two, load on first use.
 importtime:
 	python -X importtime -c "import repro.cli, repro.sim.shard, repro.serve" \
 		2>&1 | sort -t'|' -k2 -n -r | head -15

@@ -4,6 +4,9 @@ Paper (HTTP): a single origin's single-probe scan covers a median 95.5 %;
 two origins reach 98.3 %; three reach 99.1 % with σ = 0.08 %.  HTTPS gains
 2–3 % from three origins; SSH needs far more origins for the same
 coverage because probabilistic blocking hits everyone.
+
+This benchmark times the tables and prints them; the claims are gated
+at seeds 1–3 in ``tests/test_paper_claims.py`` (``TestFigures15And17``).
 """
 
 from benchmarks.conftest import bench_once
@@ -28,26 +31,9 @@ def test_fig15_multi_origin_coverage(benchmark, paper_ds):
         print(render_table(["k", "median", "q1", "q3", "min", "σ"], rows,
                            title=f"Figure 15/17 ({protocol}, {label})"))
 
-    http1 = tables[("http", True)]
-    # Medians grow monotonically with k and variance collapses.
-    medians = [http1[k].median for k in sorted(http1)]
-    assert medians == sorted(medians)
-    assert http1[3].std < http1[1].std / 3
-
-    # The paper's headline jumps: ~95.5 → ~98.3 → ~99.1 (±1.5 pp here).
-    assert abs(http1[1].median - 0.955) < 0.02
-    assert http1[2].median - http1[1].median > 0.01
-    assert http1[3].median > 0.985
-
-    # SSH needs more origins: its 3-origin coverage is still below
-    # HTTP's 2-origin coverage.
-    ssh1 = tables[("ssh", True)]
-    assert ssh1[3].median < http1[2].median
-
     # The best pair is not necessarily composed of the best singles —
     # diversity matters (the paper's AU–US1 example).
     best_pair, pair_cov = best_combination(paper_ds, "http", 2)
     best_single, single_cov = best_combination(paper_ds, "http", 1)
     print(f"\nbest pair: {best_pair} at {pair_cov:.2%} "
           f"(best single {best_single[0]} at {single_cov:.2%})")
-    assert pair_cov > single_cov

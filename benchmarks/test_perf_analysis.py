@@ -8,8 +8,9 @@ against the reference set-algebra path at paper scale, the same way
   HTTP ground-truth hosts, packed (OR + popcount over bit-planes) vs
   reference (per-subset boolean unions);
 * ``coverage_interval`` — a 500-replicate host bootstrap, packed
-  (keyed draws through preallocated buffers, the replicates split
-  across the CPUs from 2**15 hosts) vs reference (per-replicate loop);
+  (keyed draws through preallocated buffers, ⌊2**16 / n⌋ replicates
+  hashed per numpy call below 2**16 hosts, the replicates split across
+  the CPUs from 2**15 hosts) vs reference (per-replicate loop);
 * ``full_report`` — the end-to-end §3–§7 report over one shared
   :class:`~repro.core.engine.AnalysisContext` per protocol.
 

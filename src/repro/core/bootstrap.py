@@ -9,17 +9,20 @@ that decides "is origin A actually better than origin B here?".
 
 Resampling is driven by the deterministic counter RNG, so intervals are
 reproducible for a given seed.  The ``packed`` engine pre-derives one
-stream key per replicate and evaluates each replicate's draw vector
-through preallocated buffers (:func:`repro.rng.keyed_bits_into`): no
-per-replicate allocations, no redundant copies, and a working set that
-stays cache-resident — the win over the reference per-replicate loop
-is pure overhead elimination, since both perform the same splitmix64
-arithmetic.  Once a replicate draws at least :data:`SPLIT_MIN_DRAWS`
-indices, the replicates are split into contiguous parts, one per CPU
-the process may run on, each computed on its own thread.  Both engines
-produce bit-identical intervals, split or not: every replicate
-statistic reduces the same values in the same order, and the boolean
-case is an exact small-integer count in float64.
+stream key per replicate and evaluates the draw vectors through
+preallocated buffers (:func:`repro.rng.keyed_bits_into`), a block of
+⌊:data:`BLOCK_DRAWS` / n⌋ replicates (at least one) per numpy call: no
+per-replicate allocations, no redundant copies, a working set that
+stays cache-resident, and few calls, each of which hands the
+interpreter lock back and forth — the win over the reference
+per-replicate loop is pure overhead elimination, since both perform the
+same splitmix64 arithmetic.  Once a replicate draws at least
+:data:`SPLIT_MIN_DRAWS` indices, the replicates are split into
+contiguous parts, one per CPU the process may run on, each computed on
+its own thread.  Both engines produce bit-identical intervals, blocked,
+split or not: every replicate statistic reduces the same values in the
+same order, and the boolean case is an exact small-integer count in
+float64.
 """
 
 from __future__ import annotations
@@ -40,6 +43,12 @@ from repro.rng import CounterRNG, fold_keys, keyed_bits_into
 #: interpreter-lock hand-off, and below ~2**15 elements a call is too
 #: short for a second thread to pay for it.
 SPLIT_MIN_DRAWS = 1 << 15
+
+#: Replicates drawing fewer indices than this are hashed ⌊BLOCK_DRAWS /
+#: n⌋ at a time, so a small interval makes a few numpy calls per block
+#: instead of ~24 per replicate.  A larger block falls out of a 2 MB L2
+#: cache and runs slower.
+BLOCK_DRAWS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -78,29 +87,37 @@ def _replicate_part(keys: np.ndarray, values: np.ndarray,
                     draws: np.ndarray, scratch: np.ndarray,
                     gathered: np.ndarray) -> None:
     """Write replicate ``keys[r]``'s resampled count or sum to
-    ``stats[r]``, drawing through the caller's buffers (``draws`` and
-    ``scratch`` uint64, ``gathered`` of ``values``' dtype, each as long
-    as ``counters``).  The gather checks its bounds, so ``values``
+    ``stats[r]``, drawing through the caller's flat buffers (``draws``
+    and ``scratch`` uint64, ``gathered`` of ``values``' dtype).  Each
+    holds a whole number of rows as long as ``counters``, one row per
+    replicate of a block, so their length sets the block size; the last
+    block may be short.  The gather checks its bounds, so ``values``
     shorter than ``counters`` raises :class:`IndexError`."""
-    n_u64 = np.uint64(len(counters))
+    n = len(counters)
+    n_u64 = np.uint64(n)
+    block = len(draws) // n
     # After the modulo every draw is < n < 2**63, so reading the buffer
     # as int64 is free and skips the uint64→intp cast a gather would
-    # otherwise make per replicate.
+    # otherwise make per block.
     index_view = draws.view(np.int64)
     boolean = values.dtype == np.bool_
-    for r, key in enumerate(keys):
-        keyed_bits_into(key, counters, draws, scratch)
+    for first in range(0, len(keys), block):
+        block_keys = keys[first:first + block]
+        size = len(block_keys) * n
+        block_draws, block_scratch = draws[:size], scratch[:size]
+        keyed_bits_into(block_keys, counters, block_draws, block_scratch)
         # draws mod n, taken as draws - (draws // n) * n: exact in
         # uint64 (the product never exceeds draws), and numpy divides
         # by a scalar several times faster than it takes a remainder.
-        np.floor_divide(draws, n_u64, out=scratch)
-        np.multiply(scratch, n_u64, out=scratch)
-        np.subtract(draws, scratch, out=draws)
-        np.take(values, index_view, out=gathered)
-        if boolean:
-            stats[r] = np.count_nonzero(gathered)
-        else:
-            stats[r] = gathered.sum()
+        np.floor_divide(block_draws, n_u64, out=block_scratch)
+        np.multiply(block_scratch, n_u64, out=block_scratch)
+        np.subtract(block_draws, block_scratch, out=block_draws)
+        rows = gathered[:size]
+        np.take(values, index_view[:size], out=rows)
+        # One 1-D reduction per contiguous row: the same count, and the
+        # same pairwise sum, as over a buffer of that row alone.
+        for r, row in enumerate(rows.reshape(-1, n), first):
+            stats[r] = np.count_nonzero(row) if boolean else row.sum()
 
 
 def _replicate_stats(rng: CounterRNG, values: np.ndarray, n: int,
@@ -109,17 +126,19 @@ def _replicate_stats(rng: CounterRNG, values: np.ndarray, n: int,
 
     The packed engine derives one stream key per replicate — the same
     fold of the replicate counter the reference path performs — then
-    draws each replicate's index vector through preallocated buffers
+    draws the index vectors through preallocated buffers, a block of
+    ⌊:data:`BLOCK_DRAWS` / n⌋ replicates (at least one) per numpy call
     (:func:`_replicate_part`).  From :data:`SPLIT_MIN_DRAWS` draws per
     replicate, the replicates split into contiguous parts, one per
     available CPU: the calling thread computes the first and one
     started thread each other part, every part into its own slice of
-    the result through buffers allocated here.  Bit-identical to the
-    reference, split or not: same draws, same reduction order (boolean
-    values reduce to an exact integer count; float values reduce with
-    the same pairwise sum ``mean()`` uses), same final division by
-    ``n``.  A part's exception is raised here, after every started
-    thread has been joined.
+    the result through buffers allocated here (blocks never span two
+    parts).  Bit-identical to the reference, blocked, split or not:
+    same draws, same reduction order (boolean values reduce to an exact
+    integer count; float values reduce each row with the same pairwise
+    sum ``mean()`` uses), same final division by ``n``.  A part's
+    exception is raised here, after every started thread has been
+    joined.
     """
     stats = np.empty(replicates)
     if engine == "reference":
@@ -133,10 +152,14 @@ def _replicate_stats(rng: CounterRNG, values: np.ndarray, n: int,
     parts = min(_available_cpus(), replicates) \
         if n >= SPLIT_MIN_DRAWS else 1
     bounds = [replicates * p // parts for p in range(parts + 1)]
-    jobs = [(keys[lo:hi], values, stats[lo:hi], counters,
-             np.empty(n, dtype=np.uint64), np.empty(n, dtype=np.uint64),
-             np.empty(n, dtype=values.dtype))
-            for lo, hi in zip(bounds, bounds[1:])]
+    block = max(1, BLOCK_DRAWS // n)
+    jobs = []
+    for lo, hi in zip(bounds, bounds[1:]):
+        size = min(block, hi - lo) * n
+        jobs.append((keys[lo:hi], values, stats[lo:hi], counters,
+                     np.empty(size, dtype=np.uint64),
+                     np.empty(size, dtype=np.uint64),
+                     np.empty(size, dtype=values.dtype)))
     errors: List[BaseException] = []
 
     def run(job: tuple) -> None:

@@ -139,7 +139,15 @@ class PrefixTrie:
     # ------------------------------------------------------------------
 
     def _compile(self) -> None:
-        """Flatten the trie into disjoint [start, end] → value intervals."""
+        """Flatten the trie into disjoint [start, end] → value intervals.
+
+        ``_starts`` marks the table compiled, so it is assigned last:
+        threads may look up a fresh trie at once (the shard worlds of
+        one sharded world share their topology), and one that finds
+        ``_starts`` set while another is still compiling must find the
+        rest of the table set too.  Every compile of an unchanged trie
+        yields equal arrays, so two threads compiling at once agree.
+        """
         starts: List[int] = []
         ends: List[int] = []
         value_idx: List[int] = []
@@ -183,10 +191,10 @@ class PrefixTrie:
                          effective, has_effective)
 
         walk(self._root, 0, 0, None, False)
-        self._starts = np.array(starts, dtype=np.uint32)
         self._ends = np.array(ends, dtype=np.uint32)
         self._value_idx = np.array(value_idx, dtype=np.int64)
         self._values = values
+        self._starts = np.array(starts, dtype=np.uint32)
 
     def lookup_array(self, ips: np.ndarray, default: Any = None) -> list:
         """Longest-prefix-match values for a uint32 array of addresses."""

@@ -238,17 +238,23 @@ def _mix_array_inplace(x: np.ndarray, scratch: np.ndarray) -> None:
     np.bitwise_xor(x, scratch, out=x)
 
 
-def keyed_bits_into(key: np.uint64, counters: np.ndarray,
+def keyed_bits_into(keys: np.ndarray, counters: np.ndarray,
                     out: np.ndarray, scratch: np.ndarray) -> np.ndarray:
-    """Draw ``bits_array(counters)`` for one pre-derived stream key.
+    """Draw ``bits_array(counters)`` for a block of pre-derived stream keys.
 
-    Writes into the caller's ``out``/``scratch`` uint64 buffers (both
-    shaped like ``counters``) and returns ``out``.  Bit-identical to
-    ``CounterRNG`` with ``key`` → ``bits_array(counters)``; the
-    allocation-free twin of :func:`keyed_bits_array` for loops that
-    draw from many streams over the same counter vector.
+    ``out`` and ``scratch`` are the caller's flat, contiguous uint64
+    buffers of ``len(keys) * len(counters)`` elements; row *r* of
+    ``out`` (its *r*-th run of ``len(counters)`` elements) receives
+    stream ``keys[r]``'s draws, and ``out`` is returned.  Bit-identical
+    to ``CounterRNG`` with ``key == keys[r]`` → ``bits_array(counters)``
+    row by row; the allocation-free twin of :func:`keyed_bits_array`,
+    which hashes the whole block in each numpy call.
     """
-    np.bitwise_xor(counters, key, out=out)
+    if len(keys) == 1:  # a scalar operand skips the broadcast set-up
+        np.bitwise_xor(counters, keys[0], out=out)
+    else:
+        np.bitwise_xor(counters, keys[:, None],
+                       out=out.reshape(len(keys), len(counters)))
     _mix_array_inplace(out, scratch)
     _mix_array_inplace(out, scratch)
     return out

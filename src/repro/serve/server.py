@@ -203,11 +203,11 @@ class ReproServer:
 
     async def start(self) -> "ReproServer":
         """Bind the listener; ``self.port`` is the actual port."""
-        # repro.core.stats imports scipy.stats on first use.  Load it now,
-        # not in the first cold full report: that import (~1 s) would run
-        # on a compute thread under load, and hits waiting on the same
-        # interpreter lock would stall behind it.
-        import scipy.stats  # noqa: F401
+        # repro.core.stats imports scipy.special on first use.  Load it
+        # now, not in the first cold full report: that import (~0.35 s)
+        # would run on a compute thread under load, and hits waiting on
+        # the same interpreter lock would stall behind it.
+        import scipy.special  # noqa: F401
 
         self._server = await asyncio.start_server(
             self._handle_conn, self.config.host, self.config.port)

@@ -26,6 +26,7 @@ from hypothesis import strategies as st
 from repro.cli import main
 from repro.core import bootstrap
 from repro.core.bootstrap import (
+    BLOCK_DRAWS,
     SPLIT_MIN_DRAWS,
     _replicate_stats,
     coverage_difference_interval,
@@ -165,22 +166,36 @@ class TestBootstrapEquivalence:
                                         SPLIT_MIN_DRAWS - 1,
                                         SPLIT_MIN_DRAWS, 40_009]),
                        st.integers(1, 70_000)),
-           replicates=st.sampled_from([12, 13]),
+           replicates=st.sampled_from([12, 13, 40]),
            cpus=st.integers(1, 4),
            seed=st.integers(0, 2 ** 32 - 1), boolean=st.booleans())
     @example(n=SPLIT_MIN_DRAWS - 1, replicates=13, cpus=2, seed=1,
              boolean=True)
     @example(n=SPLIT_MIN_DRAWS, replicates=13, cpus=4, seed=2,
              boolean=True)
+    @example(n=SPLIT_MIN_DRAWS, replicates=13, cpus=2, seed=12,
+             boolean=False)
     @example(n=40_009, replicates=13, cpus=3, seed=3, boolean=False)
     @example(n=70_000, replicates=12, cpus=2, seed=4, boolean=True)
+    @example(n=9_000, replicates=13, cpus=1, seed=5, boolean=True)
+    @example(n=9_000, replicates=13, cpus=2, seed=6, boolean=False)
+    @example(n=BLOCK_DRAWS - 1, replicates=13, cpus=1, seed=7,
+             boolean=True)
+    @example(n=BLOCK_DRAWS - 1, replicates=13, cpus=2, seed=8,
+             boolean=False)
+    @example(n=BLOCK_DRAWS, replicates=13, cpus=1, seed=9, boolean=False)
+    @example(n=BLOCK_DRAWS, replicates=13, cpus=2, seed=10, boolean=True)
+    @example(n=1, replicates=13, cpus=1, seed=11, boolean=True)
+    @example(n=1, replicates=40, cpus=2, seed=13, boolean=False)
     def test_replicate_stats_match_the_reference_draws(self, n, replicates,
                                                        cpus, seed,
                                                        boolean):
-        """The packed replicate loop (its own modulo, in place), split
-        or not, against the reference loop's ``draws % n`` indices,
-        value for value.  The CPU probe is forced, so the split into
-        1–4 parts runs on any host."""
+        """The packed replicate loop (its own modulo, in place), in
+        blocks of ⌊BLOCK_DRAWS / n⌋ replicates (n = 9,000 and 13
+        replicates: blocks of 7 and 6) or one replicate a block (from
+        n = 2**16), split or not, against the reference loop's
+        ``draws % n`` indices, value for value.  The CPU probe is
+        forced, so the split into 1–4 parts runs on any host."""
         values = np.random.default_rng(seed).random(n)
         if boolean:
             values = values < 0.5
@@ -229,6 +244,43 @@ class TestBootstrapEquivalence:
         assert not any(thread.is_alive() for thread in started)
         np.testing.assert_array_equal(
             stats, _replicate_stats(rng, values, n, 13, "reference"))
+
+    @pytest.mark.parametrize("n, replicates, cpus, calls", [
+        (9_000, 200, 1, 58),     # 28 blocks of 7 and one of 4
+        (9_000, 200, 2, 58),     # below the split, one part on 2 CPUs
+        (11_000, 200, 1, 80),    # 40 blocks of 5
+        (3_700, 200, 1, 24),     # 11 blocks of 17 and one of 13
+        (1, 200, 1, 2),          # every replicate in one block
+        (1 << 15, 13, 4, 16),    # parts of 3, 3, 3, 4: blocks of 2 each
+        (1 << 16, 200, 1, 400),  # one replicate per block
+        (1 << 16, 200, 2, 400),  # and two parts
+    ])
+    def test_each_block_hashes_in_two_rounds(self, monkeypatch, n,
+                                             replicates, cpus, calls):
+        """An interval runs the two splitmix64 rounds once per block of
+        ⌊2**16 / n⌋ replicates (at least one, never spanning two parts),
+        each over at most max(n, 2**16) draws: exactly 2 x blocks
+        calls, not 2 per replicate."""
+        from repro import rng as rng_module
+        sizes = []
+        mix = rng_module._mix_array_inplace
+
+        def counting_mix(x, scratch):
+            sizes.append(len(x))
+            mix(x, scratch)
+
+        monkeypatch.setattr(rng_module, "_mix_array_inplace", counting_mix)
+        monkeypatch.setattr(bootstrap, "_available_cpus", lambda: cpus)
+        values = np.random.default_rng(n).random(n) < 0.7
+        rng = CounterRNG(n, "bootstrap-coverage")
+        stats = _replicate_stats(rng, values, n, replicates, "packed")
+        assert len(sizes) == calls
+        assert max(sizes) <= max(n, 1 << 16)
+        assert sum(sizes) == 2 * replicates * n
+        monkeypatch.undo()
+        np.testing.assert_array_equal(
+            stats, _replicate_stats(rng, values, n, replicates,
+                                    "reference"))
 
     def test_split_intervals_from_concurrent_callers(self, monkeypatch):
         """Four callers, each splitting its own interval into four

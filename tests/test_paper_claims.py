@@ -3,11 +3,13 @@
 Each claim is a shape assertion about one table or figure: an ordering,
 a ratio, a crossover.  A claim that holds at one seed only would be a
 calibration artifact, so every claim here must hold at every seed of
-the sweep.  The HTTP campaign of each seed is built once per module.
+the sweep.  Each seed's world and its HTTP and SSH campaigns are
+built once per module.
 
-Covered so far: Figure 2 (the missing-host breakdown) and §5.3 (burst
-outages).  ``pytest benchmarks/ --benchmark-only -s`` still times these
-analyses and prints the regenerated figures at seed 1.
+Covered so far: Figure 2 (the missing-host breakdown), §5.3 (burst
+outages) and Figures 15/17 (multi-origin coverage, which also needs each
+seed's SSH campaign).  ``pytest benchmarks/ --benchmark-only -s`` still
+times these analyses and prints the regenerated figures at seed 1.
 """
 
 from __future__ import annotations
@@ -16,6 +18,7 @@ import pytest
 
 from repro.core.bursts import burst_report
 from repro.core.classification import figure2_rows
+from repro.core.multi_origin import best_combination, multi_origin_table
 from repro.sim.campaign import run_campaign
 from repro.sim.scenario import paper_scenario
 
@@ -26,11 +29,25 @@ FIGURE2_KEYS = ("transient_host", "transient_network", "long_term_host",
 
 
 @pytest.fixture(scope="module", params=SEEDS, ids=lambda s: f"seed{s}")
-def paper_http(request):
-    """The main experiment's HTTP campaign: 3 trials × 8 origin configs."""
-    world, origins, config = paper_scenario(seed=request.param)
-    return run_campaign(world, origins, config, protocols=("http",),
+def paper_world(request):
+    return paper_scenario(seed=request.param)
+
+
+def _campaign(paper_world, protocol):
+    """One protocol of the main experiment: 3 trials × 8 origin configs."""
+    world, origins, config = paper_world
+    return run_campaign(world, origins, config, protocols=(protocol,),
                         n_trials=3, executor="serial")
+
+
+@pytest.fixture(scope="module")
+def paper_http(paper_world):
+    return _campaign(paper_world, "http")
+
+
+@pytest.fixture(scope="module")
+def paper_ssh(paper_world):
+    return _campaign(paper_world, "ssh")
 
 
 class TestFigure2:
@@ -98,3 +115,34 @@ class TestSection53Bursts:
         shares = report.single_origin_burst_shares()
         assert max(shares, key=shares.get) == "AU"
         assert shares["AU"] > 0.2
+
+
+class TestFigures15And17:
+    """A single origin's single-probe HTTP scan covers a median 95.5 %,
+    two origins 98.3 % and three 99.1 %, with the spread collapsing as
+    origins are added; SSH needs more origins for the same coverage,
+    because probabilistic blocking hits every origin; and the best pair
+    beats the best single origin."""
+
+    @pytest.fixture(scope="class")
+    def http1(self, paper_http):
+        return multi_origin_table(paper_http, "http", single_probe=True)
+
+    def test_medians_grow_and_spread_collapses_with_origins(self, http1):
+        medians = [http1[k].median for k in sorted(http1)]
+        assert medians == sorted(medians)
+        assert http1[3].std < http1[1].std / 3
+
+    def test_headline_coverage_jumps(self, http1):
+        assert abs(http1[1].median - 0.955) < 0.02
+        assert http1[2].median - http1[1].median > 0.01
+        assert http1[3].median > 0.985
+
+    def test_ssh_needs_more_origins(self, http1, paper_ssh):
+        ssh1 = multi_origin_table(paper_ssh, "ssh", single_probe=True)
+        assert ssh1[3].median < http1[2].median
+
+    def test_best_pair_beats_best_single(self, paper_http):
+        _, pair_coverage = best_combination(paper_http, "http", 2)
+        _, single_coverage = best_combination(paper_http, "http", 1)
+        assert pair_coverage > single_coverage

@@ -253,27 +253,35 @@ class TestKeyedDraws:
             assert np.array_equal(matrix[r], expected)
 
     def test_keyed_bits_into_matches_bits_array(self):
+        """Row *r* of a block holds stream ``keys[r]``'s draws."""
         from repro.rng import keyed_bits_into
 
         rng = CounterRNG(11, "buffers")
         counters = np.arange(5000, dtype=np.uint64)
-        out = np.empty(5000, dtype=np.uint64)
-        scratch = np.empty(5000, dtype=np.uint64)
-        result = keyed_bits_into(np.uint64(rng.key), counters, out, scratch)
-        assert result is out
-        assert np.array_equal(out, rng.bits_array(counters))
+        for block in (1, 2, 7):
+            keys = np.array([rng.derive(r).key for r in range(block)],
+                            dtype=np.uint64)
+            out = np.empty(block * 5000, dtype=np.uint64)
+            scratch = np.empty(block * 5000, dtype=np.uint64)
+            result = keyed_bits_into(keys, counters, out, scratch)
+            assert result is out
+            for r, row in enumerate(out.reshape(block, 5000)):
+                assert np.array_equal(row,
+                                      rng.derive(r).bits_array(counters))
 
     def test_keyed_bits_into_reusable_buffers(self):
         from repro.rng import keyed_bits_into
 
         rng = CounterRNG(3, "reuse")
         counters = np.arange(257, dtype=np.uint64)
-        out = np.empty(257, dtype=np.uint64)
-        scratch = np.empty(257, dtype=np.uint64)
-        first = keyed_bits_into(np.uint64(rng.derive(0).key), counters,
-                                out, scratch).copy()
-        keyed_bits_into(np.uint64(rng.derive(1).key), counters, out, scratch)
-        keyed_bits_into(np.uint64(rng.derive(0).key), counters, out, scratch)
+        keys = np.array([rng.derive(r).key for r in range(3)],
+                        dtype=np.uint64)
+        out = np.empty(3 * 257, dtype=np.uint64)
+        scratch = np.empty(3 * 257, dtype=np.uint64)
+        first = keyed_bits_into(keys, counters, out, scratch).copy()
+        keyed_bits_into(keys[1:2], counters, out[:257], scratch[:257])
+        keyed_bits_into(keys[::-1].copy(), counters, out, scratch)
+        keyed_bits_into(keys, counters, out, scratch)
         assert np.array_equal(out, first)
         # The counter vector itself must never be clobbered.
         assert np.array_equal(counters, np.arange(257, dtype=np.uint64))

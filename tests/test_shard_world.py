@@ -250,7 +250,9 @@ class TestSharedModels:
     def test_concurrent_streams_of_one_world_match_serial(self, specs,
                                                           zmap):
         """Two grids streamed at once over one sharded world (as two
-        serve requests may) fill its shared memos concurrently."""
+        serve requests may) fill its shared memos concurrently, and
+        look up its shared topology's GeoIP tries before either has
+        compiled them.  A stream's exception is raised here."""
         import sys
         import threading
 
@@ -268,9 +270,13 @@ class TestSharedModels:
         reference = grid(fresh(), executor="serial")
         shared = fresh()
         grids = [None, None]
+        errors = []
 
         def stream(slot):
-            grids[slot] = grid(shared, executor="thread", workers=4)
+            try:
+                grids[slot] = grid(shared, executor="thread", workers=4)
+            except BaseException as exc:  # re-raised below
+                errors.append(exc)
 
         previous = sys.getswitchinterval()
         sys.setswitchinterval(1e-5)
@@ -284,6 +290,8 @@ class TestSharedModels:
         finally:
             sys.setswitchinterval(previous)
         assert not any(thread.is_alive() for thread in threads)
+        if errors:
+            raise errors[0]
         assert grids == [reference, reference]
 
 

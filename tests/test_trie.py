@@ -108,6 +108,39 @@ class TestVectorLookup:
         trie.insert(IPv4Network.from_cidr("10.0.0.0/16"), "b")
         assert trie.lookup_array(ips) == ["b"]
 
+    def test_lookup_during_a_compile_sees_a_whole_table(self):
+        """A lookup that runs while another compile of the same trie
+        is part-way through publishing its table (as when shard worlds
+        sharing one topology look it up from several threads) answers
+        from a complete table: here the lookup runs after each
+        attribute the compile assigns."""
+        compiled = ("_starts", "_ends", "_value_idx", "_values")
+        ips = np.array([parse_ipv4(s) for s in
+                        ("10.0.0.1", "10.64.0.1", "192.0.2.9", "8.8.8.8")],
+                       dtype=np.uint32)
+        seen = []
+
+        class PeekingTrie(PrefixTrie):
+            peek = False
+
+            def __setattr__(self, name, value):
+                super().__setattr__(name, value)
+                if name in compiled and self.peek:
+                    self.peek = False
+                    try:
+                        seen.append(self.lookup_array(ips, default="-"))
+                    finally:
+                        self.peek = True
+
+        trie = PeekingTrie()
+        trie.insert(IPv4Network.from_cidr("10.0.0.0/8"), "a")
+        trie.insert(IPv4Network.from_cidr("10.64.0.0/10"), "b")
+        trie.insert(IPv4Network.from_cidr("192.0.2.0/24"), "c")
+        trie.peek = True
+        assert trie.lookup_array(ips, default="-") == ["a", "b", "c", "-"]
+        assert len(seen) == 4
+        assert seen == [["a", "b", "c", "-"]] * 4
+
     def test_full_space_boundaries(self):
         trie = PrefixTrie()
         trie.insert(IPv4Network.from_cidr("0.0.0.0/1"), "low")
