@@ -30,6 +30,10 @@ from typing import Dict, List, Optional, Sequence
 
 ROOT = Path(__file__).resolve().parent.parent
 SIDES = ("parent", "change")
+#: BENCHMARK.json's ``run_seconds``, the length ``make perfbench`` runs:
+#: runs of another length compare with neither its bounds nor earlier
+#: pairs.
+SECONDS = 30
 
 
 def quartiles(values: Sequence[float]) -> List[float]:
@@ -41,12 +45,11 @@ def quartiles(values: Sequence[float]) -> List[float]:
     return statistics.quantiles(ordered, n=4, method="inclusive")
 
 
-def run_once(checkout: Path, workload: str, seed: int, seconds: float,
-             trace: int) -> dict:
+def run_once(checkout: Path, workload: str, seed: int, trace: int) -> dict:
     """One perfbench run in ``checkout``: its detail and result objects
     (None when the run printed none), exit code and wall time."""
     command = [sys.executable, "perfbench/run.py", "--workload", workload,
-               "--seed", str(seed), "--seconds", str(seconds),
+               "--seed", str(seed), "--seconds", str(SECONDS),
                "--trace", str(trace)]
     began = time.monotonic()
     done = subprocess.run(command, cwd=checkout, capture_output=True,
@@ -128,7 +131,6 @@ def main(argv=None) -> int:
     parser.add_argument("--seeds", required=True, type=int, nargs="+")
     parser.add_argument("--out", type=Path, default=Path("perfpairs.jsonl"),
                         help="JSONL file every run is appended to")
-    parser.add_argument("--seconds", type=float, default=30.0)
     parser.add_argument("--trace", type=int, choices=(0, 1), default=0)
     args = parser.parse_args(argv)
 
@@ -152,7 +154,7 @@ def main(argv=None) -> int:
             order = SIDES if pair % 2 == 0 else SIDES[::-1]
             for position, side in enumerate(order):
                 run = run_once(checkouts[side], args.workload, seed,
-                               args.seconds, args.trace)
+                               args.trace)
                 record = {"pair": pair, "seed": seed, "side": side,
                           "position": position, "workload": args.workload,
                           "trace": args.trace,

@@ -234,6 +234,10 @@ def coverage_difference_interval(trial_data: TrialData, origin_a: str,
     independent CIs — the right tool for "did origin A really beat B?".
     An interval excluding 0 is a significant difference.
     """
+    if replicates < 10:
+        raise ValueError("need at least 10 replicates")
+    if not 0.0 < confidence < 1.0:
+        raise ValueError("confidence must be in (0, 1)")
     engine = resolve_engine(engine)
     truth = trial_data.ground_truth()
     a = trial_data.accessible(origin_a)[truth].astype(np.float64)

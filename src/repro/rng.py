@@ -250,11 +250,8 @@ def keyed_bits_into(keys: np.ndarray, counters: np.ndarray,
     row by row; the allocation-free twin of :func:`keyed_bits_array`,
     which hashes the whole block in each numpy call.
     """
-    if len(keys) == 1:  # a scalar operand skips the broadcast set-up
-        np.bitwise_xor(counters, keys[0], out=out)
-    else:
-        np.bitwise_xor(counters, keys[:, None],
-                       out=out.reshape(len(keys), len(counters)))
+    np.bitwise_xor(counters, keys[:, None],
+                   out=out.reshape(len(keys), len(counters)))
     _mix_array_inplace(out, scratch)
     _mix_array_inplace(out, scratch)
     return out

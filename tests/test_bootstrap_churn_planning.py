@@ -68,6 +68,14 @@ class TestBootstrap:
             coverage_interval(td, "A", replicates=5)
         with pytest.raises(ValueError):
             coverage_interval(td, "A", confidence=1.5)
+        for replicates in (0, 1, 9):
+            with pytest.raises(ValueError, match="at least 10 replicates"):
+                coverage_difference_interval(td, "A", "B",
+                                             replicates=replicates)
+        for confidence in (0.0, 1.0, 1.5):
+            with pytest.raises(ValueError, match="confidence"):
+                coverage_difference_interval(td, "A", "B",
+                                             confidence=confidence)
 
     def test_intervals_for_all_origins(self):
         td = two_origin_trial()
